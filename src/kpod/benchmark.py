@@ -9,7 +9,6 @@ same amputed dataset (paired comparisons).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -23,7 +22,7 @@ import numpy as np
 from .baselines import delete_cluster, mean_impute_cluster
 from .errors import DeletionInfeasibleError, KPodError
 from .evaluation import adjusted_rand_index, rand_index, timing_harness
-from .csv_io import read_masked_csv
+from .csv_io import DEFAULT_MISSING_TOKEN, read_masked_csv, write_csv
 from .kmeans import Assignment, EngineSettings
 from .masked import MaskedMatrix, standardize
 from .missingness import Mechanism, MechanismSpec, MixtureSpec, ampute, perturb_dataset, simulate_mixture
@@ -60,7 +59,7 @@ class FileDataset:
     """A complete, labeled CSV on disk used as the benchmark population."""
 
     path: str
-    missing_token: str = "NA"
+    missing_token: str = DEFAULT_MISSING_TOKEN
     label_column: str | None = None
 
 
@@ -78,8 +77,8 @@ class ScenarioGrid:
     standardize: bool = True
     perturb_rel_sd: float = 0.0
     engine: EngineSettings = field(default_factory=EngineSettings)
-    max_mm_iter: int = 300
-    mm_tol: float = 1e-6
+    max_mm_iter: int = KPodConfig.max_mm_iter
+    mm_tol: float = KPodConfig.mm_tol
 
     def __post_init__(self):
         if self.trials < 1:
@@ -100,14 +99,14 @@ class ScenarioGrid:
             m = raw.pop("mixture")
             dataset = MixtureSpec(
                 n=int(m["n"]), p=int(m["p"]), k=int(m["k"]),
-                center_sd=float(m.get("center_sd", 10.0)),
-                noise_variance=float(m.get("noise_variance", 10.0)),
+                center_sd=float(m.get("center_sd", MixtureSpec.center_sd)),
+                noise_variance=float(m.get("noise_variance", MixtureSpec.noise_variance)),
             )
         elif "dataset" in raw:
             d = raw.pop("dataset")
             dataset = FileDataset(
                 path=str(d["path"]),
-                missing_token=str(d.get("missing_token", "NA")),
+                missing_token=str(d.get("missing_token", FileDataset.missing_token)),
                 label_column=d.get("label_column"),
             )
         else:
@@ -124,9 +123,9 @@ class ScenarioGrid:
             ))
 
         engine = EngineSettings(
-            max_iter=int(raw.pop("inner_max_iter", 100)),
-            tol=float(raw.pop("inner_tol", 1e-6)),
-            n_init=int(raw.pop("n_init", 1)),
+            max_iter=int(raw.pop("inner_max_iter", EngineSettings.max_iter)),
+            tol=float(raw.pop("inner_tol", EngineSettings.tol)),
+            n_init=int(raw.pop("n_init", EngineSettings.n_init)),
         )
         grid = cls(
             dataset=dataset,
@@ -136,11 +135,11 @@ class ScenarioGrid:
             methods=tuple(str(m) for m in raw.pop("methods", METHODS)),
             trials=int(raw.pop("trials")),
             base_seed=int(raw.pop("base_seed")),
-            standardize=bool(raw.pop("standardize", True)),
-            perturb_rel_sd=float(raw.pop("perturb_rel_sd", 0.0)),
+            standardize=bool(raw.pop("standardize", cls.standardize)),
+            perturb_rel_sd=float(raw.pop("perturb_rel_sd", cls.perturb_rel_sd)),
             engine=engine,
-            max_mm_iter=int(raw.pop("max_mm_iter", 300)),
-            mm_tol=float(raw.pop("mm_tol", 1e-6)),
+            max_mm_iter=int(raw.pop("max_mm_iter", cls.max_mm_iter)),
+            mm_tol=float(raw.pop("mm_tol", cls.mm_tol)),
         )
         if raw:
             raise KPodError(f"unknown config keys: {sorted(raw)}")
@@ -235,7 +234,7 @@ def _run_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, trial: int,
             if method == "kpod":
                 cfg = KPodConfig(
                     k=grid.k, seed=seed, max_mm_iter=grid.max_mm_iter,
-                    mm_tol=grid.mm_tol, inner=grid.engine, standardize_first=False,
+                    mm_tol=grid.mm_tol, inner=grid.engine,
                 )
                 fit, seconds = timing_harness(lambda: kpod_fit(x, cfg))
                 predicted = fit.assignment
@@ -296,14 +295,6 @@ def run_benchmark(grid: ScenarioGrid, workers: int = 1, measure_time: bool = Tru
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_run_trial_args, tasks))
     return [row for group in grouped for row in group]
-
-
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def summary_path_for(path) -> Path:
@@ -368,14 +359,7 @@ def aggregate_rows(rows: Sequence[ReportRow]) -> list[_Aggregate]:
 
 def write_report(rows: Sequence[ReportRow], path) -> None:
     """Write the per-run report CSV plus its aggregated companion file."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt_cell(getattr(row, name)) for name in REPORT_COLUMNS])
-    with summary_path_for(path).open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for agg in aggregate_rows(rows):
-            writer.writerow([_fmt_cell(getattr(agg, name)) for name in SUMMARY_COLUMNS])
+    write_csv(path, REPORT_COLUMNS,
+              ([getattr(row, name) for name in REPORT_COLUMNS] for row in rows))
+    write_csv(summary_path_for(path), SUMMARY_COLUMNS,
+              ([getattr(agg, name) for name in SUMMARY_COLUMNS] for agg in aggregate_rows(rows)))

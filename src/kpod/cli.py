@@ -10,38 +10,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .baselines import delete_cluster, mean_impute_cluster
 from .benchmark import METHODS, ScenarioGrid, run_benchmark, summary_path_for, write_report
-from .csv_io import read_labels_csv, read_masked_csv, write_labels_csv, write_masked_csv
+from .csv_io import (DEFAULT_MISSING_TOKEN, format_cell, read_labels_csv, read_masked_csv,
+                     write_csv, write_labels_csv, write_masked_csv)
 from .errors import KPodError
 from .evaluation import adjusted_rand_index, rand_index
 from .kmeans import EngineSettings
 from .masked import MaskedMatrix, standardize
 from .missingness import Mechanism, MechanismSpec, MixtureSpec, ampute, simulate_mixture
 from .mm import KPodConfig, kpod_fit
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_trace(trace, path) -> None:
-    with Path(path).open("w", newline="") as handle:
-        handle.write("objective\n")
-        for value in trace:
-            handle.write(_fmt(value) + "\n")
-
-
-def _write_centroids(centers: np.ndarray, path, names) -> None:
-    with Path(path).open("w", newline="") as handle:
-        handle.write(",".join(names) + "\n")
-        for row in centers:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _cmd_cluster(args) -> int:
@@ -58,23 +40,23 @@ def _cmd_cluster(args) -> int:
         fit = kpod_fit(x, cfg)
         assignment, centers, trace = fit.assignment, fit.centroids.centers, fit.observed_objective_trace
         print(f"kpod: {fit.mm_iterations} fill/cluster iterations, "
-              f"observed objective {_fmt(trace[-1])}")
+              f"observed objective {format_cell(trace[-1])}")
     elif args.method == "mean_impute":
         fit = mean_impute_cluster(x, args.k, seed=args.seed, engine=engine)
         assignment, centers, trace = fit.assignment, fit.centroids.centers, [fit.objective]
-        print(f"mean_impute: objective {_fmt(fit.objective)} in {fit.iterations} sweeps")
+        print(f"mean_impute: objective {format_cell(fit.objective)} in {fit.iterations} sweeps")
     else:
         fit, kept = delete_cluster(x, args.k, seed=args.seed, engine=engine)
         assignment, centers, trace = fit.assignment, fit.centroids.centers, [fit.objective]
-        print(f"delete: kept columns {kept}, objective {_fmt(fit.objective)}")
+        print(f"delete: kept columns {kept}, objective {format_cell(fit.objective)}")
 
     prefix = args.output
     write_labels_csv(assignment, f"{prefix}_assignment.csv")
-    _write_centroids(centers, f"{prefix}_centroids.csv", [f"x{j}" for j in kept])
-    _write_trace(trace, f"{prefix}_trace.csv")
+    write_csv(f"{prefix}_centroids.csv", [f"x{j}" for j in kept], centers.tolist())
+    write_csv(f"{prefix}_trace.csv", ["objective"], ([value] for value in trace))
     if labels is not None:
-        print(f"rand={_fmt(rand_index(labels, assignment))} "
-              f"adjusted_rand={_fmt(adjusted_rand_index(labels, assignment))}")
+        print(f"rand={format_cell(rand_index(labels, assignment))} "
+              f"adjusted_rand={format_cell(adjusted_rand_index(labels, assignment))}")
     return 0
 
 
@@ -101,7 +83,7 @@ def _cmd_ampute(args) -> int:
                          mar_columns=mar_columns, seed=args.seed)
     masked = ampute(x.values, spec)
     write_masked_csv(masked, args.output, missing_token=args.missing_token)
-    print(f"achieved missingness {_fmt(1.0 - masked.observed_fraction)} -> {args.output}")
+    print(f"achieved missingness {format_cell(1.0 - masked.observed_fraction)} -> {args.output}")
     return 0
 
 
@@ -120,8 +102,8 @@ def _cmd_benchmark(args) -> int:
 def _cmd_evaluate(args) -> int:
     truth = read_labels_csv(args.truth)
     predicted = read_labels_csv(args.predicted)
-    print(f"rand={_fmt(rand_index(truth, predicted))}")
-    print(f"adjusted_rand={_fmt(adjusted_rand_index(truth, predicted))}")
+    print(f"rand={format_cell(rand_index(truth, predicted))}")
+    print(f"adjusted_rand={format_cell(adjusted_rand_index(truth, predicted))}")
     return 0
 
 
@@ -140,23 +122,26 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--method", choices=METHODS, default="kpod")
     cluster.add_argument("--k", type=int, required=True)
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--missing-token", default="NA")
+    cluster.add_argument("--missing-token", default=DEFAULT_MISSING_TOKEN)
     cluster.add_argument("--label-column", default=None)
     cluster.add_argument("--no-standardize", action="store_true",
                          help="cluster on the raw scale")
-    cluster.add_argument("--max-mm-iter", type=int, default=300)
-    cluster.add_argument("--mm-tol", type=float, default=1e-6)
-    cluster.add_argument("--max-iter", type=int, default=100, help="inner k-means sweeps")
-    cluster.add_argument("--tol", type=float, default=1e-6, help="inner k-means tolerance")
-    cluster.add_argument("--n-init", type=int, default=1, help="seeding restarts")
+    cluster.add_argument("--max-mm-iter", type=int, default=KPodConfig.max_mm_iter)
+    cluster.add_argument("--mm-tol", type=float, default=KPodConfig.mm_tol)
+    cluster.add_argument("--max-iter", type=int, default=EngineSettings.max_iter,
+                         help="inner k-means sweeps")
+    cluster.add_argument("--tol", type=float, default=EngineSettings.tol,
+                         help="inner k-means tolerance")
+    cluster.add_argument("--n-init", type=int, default=EngineSettings.n_init,
+                         help="seeding restarts")
     cluster.set_defaults(func=_cmd_cluster)
 
     simulate = sub.add_parser("simulate", help="emit a Gaussian-mixture dataset")
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--p", type=int, required=True)
     simulate.add_argument("--k", type=int, required=True)
-    simulate.add_argument("--center-sd", type=float, default=10.0)
-    simulate.add_argument("--noise-variance", type=float, default=10.0)
+    simulate.add_argument("--center-sd", type=float, default=MixtureSpec.center_sd)
+    simulate.add_argument("--noise-variance", type=float, default=MixtureSpec.noise_variance)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--output", required=True)
     simulate.add_argument("--labels", default=None, help="where to write the true labels")
@@ -169,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     amp.add_argument("--rate", type=float, required=True)
     amp.add_argument("--mar-columns", default=None, help="comma-separated column indices")
     amp.add_argument("--seed", type=int, default=0)
-    amp.add_argument("--missing-token", default="NA")
+    amp.add_argument("--missing-token", default=DEFAULT_MISSING_TOKEN)
     amp.set_defaults(func=_cmd_ampute)
 
     bench = sub.add_parser("benchmark", help="run a scenario grid from a config file")

@@ -1,8 +1,11 @@
-"""CSV ingestion and emission with missing-value conventions.
+"""CSV ingestion and emission: the one module that knows the file format.
 
-Missing entries are empty cells or a missing token ("NA" by default) on read,
-and the token on write. Floats are written with ``repr`` so a write/read
-round trip preserves every observed value bit for bit.
+Every CSV the package writes (data, labels, centroids, objective traces,
+benchmark reports) has one header row, ``\n`` line ends, floats written with
+``repr`` so a write/read round trip preserves every value bit for bit, and a
+fixed text for a missing cell: the missing token ("NA" by default) in data
+files, an empty cell in reports. On read, empty cells and the token are both
+missing, and blank lines at the end of the file are ignored.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,6 +22,8 @@ from .kmeans import Assignment
 from .masked import MaskedMatrix
 
 __all__ = [
+    "format_cell",
+    "write_csv",
     "read_masked_csv",
     "write_masked_csv",
     "read_labels_csv",
@@ -28,8 +33,55 @@ __all__ = [
 DEFAULT_MISSING_TOKEN = "NA"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def format_cell(value, missing_token: str = "") -> str:
+    """Text of one cell: ``missing_token`` for ``None``, ``repr`` for floats."""
+    if value is None:
+        return missing_token
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Iterable],
+              missing_token: str = "") -> None:
+    """Write one header row, then one line per row with cells from :func:`format_cell`."""
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_cell(v, missing_token) for v in row] for row in rows)
+
+
+def _read_rows(path: Path, has_header: bool, width: int | None = None,
+               ) -> tuple[list[str] | None, list[list[str]]]:
+    """The stripped header (``None`` without one) and the data rows of a CSV.
+
+    Every data row must have ``width`` fields (default: as many as the first
+    data row); a row that does not, a blank line between rows included,
+    raises :class:`CsvParseError` with its 1-based line.
+    """
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        raise CsvParseError(f"{path}: file is empty")
+    header = None
+    if has_header:
+        header, rows = [cell.strip() for cell in rows[0]], rows[1:]
+        if not rows:
+            raise CsvParseError(f"{path}: no data rows after header")
+    if width is None:
+        width = len(rows[0])
+    for line, row in enumerate(rows, start=1 + has_header):
+        if len(row) != width:
+            raise CsvParseError(f"{path}: expected {width} fields, got {len(row)}", line=line)
+    return header, rows
+
+
+def _code_labels(raw: list[str]) -> Assignment:
+    """Code distinct label strings as 0..k-1 in sorted order."""
+    codes = {value: code for code, value in enumerate(sorted(set(raw)))}
+    return Assignment(labels=np.array([codes[v] for v in raw]))
 
 
 def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
@@ -44,19 +96,7 @@ def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
     with a 1-based file line and column.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise CsvParseError(f"{path}: file is empty")
-
-    header: list[str] | None = None
-    first_data_line = 1
-    if has_header:
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        first_data_line = 2
-        if not rows:
-            raise CsvParseError(f"{path}: no data rows after header")
+    header, rows = _read_rows(path, has_header)
 
     label_idx: int | None = None
     if label_column is not None:
@@ -68,16 +108,11 @@ def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
             )
         label_idx = header.index(label_column)
 
-    width = len(rows[0])
-    values = np.zeros((len(rows), width - (label_idx is not None)), dtype=float)
+    values = np.zeros((len(rows), len(rows[0]) - (label_idx is not None)), dtype=float)
     observed = np.ones_like(values, dtype=bool)
     raw_labels: list[str] = []
     for i, row in enumerate(rows):
-        line = first_data_line + i
-        if len(row) != width:
-            raise CsvParseError(
-                f"{path}: expected {width} fields, got {len(row)}", line=line
-            )
+        line = i + 1 + has_header
         j_out = 0
         for j, cell in enumerate(row):
             cell = cell.strip()
@@ -102,10 +137,7 @@ def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
                 values[i, j_out] = parsed
             j_out += 1
 
-    labels = None
-    if label_idx is not None:
-        codes = {value: code for code, value in enumerate(sorted(set(raw_labels)))}
-        labels = Assignment(labels=np.array([codes[v] for v in raw_labels]))
+    labels = _code_labels(raw_labels) if label_idx is not None else None
     return MaskedMatrix(values=values, observed=observed), labels
 
 
@@ -116,37 +148,16 @@ def write_masked_csv(x: MaskedMatrix, path, missing_token: str = DEFAULT_MISSING
         header = [f"x{j}" for j in range(x.n_cols)]
     elif len(header) != x.n_cols:
         raise CsvParseError(f"header has {len(header)} names for {x.n_cols} columns")
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(x.n_rows):
-            writer.writerow([
-                _fmt(x.values[i, j]) if x.observed[i, j] else missing_token
-                for j in range(x.n_cols)
-            ])
+    rows = ([v if seen else None for v, seen in zip(values, observed)]
+            for values, observed in zip(x.values.tolist(), x.observed.tolist()))
+    write_csv(path, header, rows, missing_token)
 
 
 def read_labels_csv(path) -> Assignment:
     """Read a single-column label CSV (header row, then one label per row)."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    if len(rows) < 2:
-        raise CsvParseError(f"{path}: expected a header row and at least one label")
-    raw = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 1:
-            raise CsvParseError(f"{path}: expected one field", line=i)
-        raw.append(row[0].strip())
-    codes = {value: code for code, value in enumerate(sorted(set(raw)))}
-    return Assignment(labels=np.array([codes[v] for v in raw]))
+    _, rows = _read_rows(Path(path), has_header=True, width=1)
+    return _code_labels([row[0].strip() for row in rows])
 
 
 def write_labels_csv(labels: Assignment, path, column_name: str = "label") -> None:
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([column_name])
-        for label in labels.labels:
-            writer.writerow([int(label)])
+    write_csv(path, [column_name], ([label] for label in labels.labels.tolist()))

@@ -45,14 +45,6 @@ class Assignment:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def to_membership(self, k: int) -> np.ndarray:
-        """Binary (n, k) matrix with exactly one 1 per row."""
-        if self.labels.size and self.labels.max() >= k:
-            raise IndexError(f"label {int(self.labels.max())} out of range for k={k}")
-        member = np.zeros((len(self), k), dtype=float)
-        member[np.arange(len(self)), self.labels] = 1.0
-        return member
-
 
 @dataclass(frozen=True, eq=False)
 class Centroids:
@@ -98,12 +90,16 @@ class EngineSettings:
     n_init: int = 1
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
+        check_count("max_iter", self.max_iter)
+        if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if self.n_init < 1:
-            raise ValueError("n_init must be >= 1")
+        check_count("n_init", self.n_init)
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
 
 
 def _as_data(data) -> np.ndarray:
@@ -219,31 +215,24 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
 
 def _lloyd_single(data: np.ndarray, k: int, centers0: np.ndarray, max_iter: int, tol: float) -> KMeansResult:
     centers = Centroids(centers=centers0)
-    labels = None
-    prev_obj = np.inf
+    assignment = None
+    obj = np.inf
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
+        previous, prev_obj = assignment, obj
         assignment = assign_step(data, centers)
         centers = update_step(data, assignment, k)
         obj = kmeans_objective(data, assignment, centers)
-        if labels is not None and np.array_equal(assignment.labels, labels):
+        # The first sweep never stops: it has nothing to compare against. A
+        # non-finite previous objective makes the relative decrease NaN.
+        if previous is not None and (
+            np.array_equal(assignment.labels, previous.labels)
+            or prev_obj == 0 or (prev_obj - obj) / prev_obj < tol
+        ):
             converged = True
-            labels = assignment.labels
             break
-        labels = assignment.labels
-        if np.isfinite(prev_obj):
-            if prev_obj == 0 or (prev_obj - obj) / prev_obj < tol:
-                converged = True
-                break
-        prev_obj = obj
-    return KMeansResult(
-        assignment=Assignment(labels=labels),
-        centroids=centers,
-        objective=kmeans_objective(data, Assignment(labels=labels), centers),
-        iterations=iterations,
-        converged=converged,
-    )
+    return KMeansResult(assignment=assignment, centroids=centers, objective=obj,
+                        iterations=iterations, converged=converged)
 
 
 def lloyd(data, k: int, seed=None, max_iter: int = 100, tol: float = 1e-6,

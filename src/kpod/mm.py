@@ -14,35 +14,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRowError, InfeasibleError
-from .kmeans import Assignment, Centroids, EngineSettings, lloyd
-from .masked import MaskedMatrix, column_stats, fill_unobserved, project_observed, standardize
+from .kmeans import Assignment, Centroids, EngineSettings, check_count, lloyd
+from .masked import MaskedMatrix, column_stats, fill_unobserved, project_observed
 
 __all__ = ["KPodConfig", "KPodResult", "init_fill", "majorization_value", "kpod_fit"]
 
 
 @dataclass(frozen=True)
 class KPodConfig:
-    """Settings for :func:`kpod_fit`.
-
-    ``standardize_first`` rescales the input once, before fitting, using
-    observed-entry column statistics; results are then in standardized units.
-    It is off by default for library calls (the benchmark harness scales
-    inputs itself).
-    """
+    """Settings for :func:`kpod_fit`. The fit runs on the scale it is given;
+    callers that want standardized units call :func:`standardize` first."""
 
     k: int
     seed: int | None = None
     max_mm_iter: int = 300
     mm_tol: float = 1e-6
     inner: EngineSettings = field(default_factory=EngineSettings)
-    standardize_first: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.max_mm_iter < 1:
-            raise ValueError("max_mm_iter must be >= 1")
-        if self.mm_tol <= 0:
+        check_count("k", self.k)
+        check_count("max_mm_iter", self.max_mm_iter)
+        if not self.mm_tol > 0:
             raise ValueError("mm_tol must be > 0")
 
 
@@ -111,8 +103,6 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     reduces to a single k-means run with the same seed.
     """
     validate_clusterable(x, cfg.k)
-    if cfg.standardize_first:
-        x, _ = standardize(x)
 
     rng = np.random.default_rng(cfg.seed)
     result = lloyd(

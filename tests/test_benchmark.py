@@ -211,6 +211,14 @@ class TestReportWriting:
         assert agg[0].count == 0
         assert agg[0].rand_mean is None
 
+    def test_numpy_float_rate_written_as_plain_float(self, tmp_path):
+        grid = tiny_grid(rates=tuple(np.array([0.2])), methods=("mean_impute",), trials=1)
+        path = tmp_path / "report.csv"
+        write_report(run_benchmark(grid, measure_time=False), path)
+        for written in (path, summary_path_for(path)):
+            header, line = written.read_text().splitlines()
+            assert dict(zip(header.split(","), line.split(",")))["target_rate"] == "0.2"
+
     def test_none_cells_written_empty(self, tmp_path):
         path = tmp_path / "report.csv"
         write_report([self.make_row(rand=None, status="infeasible")], path)

@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+from kpod import (EngineSettings, KPodConfig, delete_cluster, kpod_fit, mean_impute_cluster,
+                  read_masked_csv, standardize)
 from kpod.cli import cli
 
 
@@ -90,6 +93,32 @@ class TestCluster:
                     "--k", 3, "--seed", 1]) == 0
         header = (tmp_path / "del_centroids.csv").read_text().splitlines()[0]
         assert header == "x2,x3,x4,x5,x6,x7"
+
+    @pytest.mark.parametrize("method", ["kpod", "mean_impute", "delete"])
+    def test_centroids_and_trace_match_library_fit(self, tmp_path, mixture_csv, method):
+        data, _ = mixture_csv
+        masked = tmp_path / "masked.csv"
+        run(["ampute", "--input", data, "--output", masked, "--mechanism", "mar",
+             "--mar-columns", "0,1", "--rate", 0.1, "--seed", 4])
+        prefix = tmp_path / "fit"
+        assert run(["cluster", "--input", masked, "--output", prefix, "--method", method,
+                    "--k", 3, "--seed", 6]) == 0
+
+        x, _ = standardize(read_masked_csv(masked)[0])
+        kept = list(range(x.n_cols))
+        if method == "kpod":
+            fit = kpod_fit(x, KPodConfig(k=3, seed=6))
+            trace = fit.observed_objective_trace
+        elif method == "mean_impute":
+            fit = mean_impute_cluster(x, 3, seed=6, engine=EngineSettings())
+            trace = [fit.objective]
+        else:
+            fit, kept = delete_cluster(x, 3, seed=6, engine=EngineSettings())
+            trace = [fit.objective]
+        centers = tmp_path / "fit_centroids.csv"
+        assert centers.read_text().splitlines()[0] == ",".join(f"x{j}" for j in kept)
+        assert np.array_equal(read_masked_csv(centers)[0].values, fit.centroids.centers)
+        assert read_masked_csv(tmp_path / "fit_trace.csv")[0].values[:, 0].tolist() == trace
 
     def test_missing_input_is_exit_1(self, tmp_path):
         assert run(["cluster", "--input", tmp_path / "nope.csv", "--output",

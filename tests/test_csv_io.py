@@ -24,11 +24,12 @@ WINE_LIKE = """class,alcohol,ash,hue
 class TestReadMaskedCsv:
     def test_no_missing_tokens_gives_complete_mask(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("a,b\n1,2\n3,4\n")
-        x, labels = read_masked_csv(path)
-        assert x.complete()
-        assert labels is None
-        assert np.array_equal(x.values, [[1.0, 2.0], [3.0, 4.0]])
+        for trailing in ["", "\n", "\n\n"]:  # blank lines at the end are ignored
+            path.write_text("a,b\n1,2\n3,4\n" + trailing)
+            x, labels = read_masked_csv(path)
+            assert x.complete()
+            assert labels is None
+            assert np.array_equal(x.values, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_na_and_empty_cells_masked_exactly_there(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -56,10 +57,14 @@ class TestReadMaskedCsv:
 
     def test_ragged_row_location(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n3\n")
-        with pytest.raises(CsvParseError) as err:
-            read_masked_csv(path)
-        assert err.value.line == 3
+        for text, read in [("a,b\n1,2\n3\n", read_masked_csv),
+                           ("a,b\n1,2\n\n3,4\n", read_masked_csv),  # blank line inside
+                           ("label\na\n\nb\n", read_labels_csv),
+                           ("label\na\nb,c\n", read_labels_csv)]:
+            path.write_text(text)
+            with pytest.raises(CsvParseError) as err:
+                read(path)
+            assert err.value.line == 3
 
     def test_non_numeric_cell_location(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -133,12 +138,14 @@ class TestLabelsCsv:
 
     def test_string_labels_coded(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text("label\nsetosa\nversicolor\nsetosa\n")
-        got = read_labels_csv(path)
-        assert got.labels.tolist() == [0, 1, 0]
+        for trailing in ["", "\n", "\n\n"]:
+            path.write_text("label\nsetosa\nversicolor\nsetosa\n" + trailing)
+            got = read_labels_csv(path)
+            assert got.labels.tolist() == [0, 1, 0]
 
     def test_needs_rows(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text("label\n")
-        with pytest.raises(CsvParseError):
-            read_labels_csv(path)
+        for text in ["", "label\n", "label\n\n"]:
+            path.write_text(text)
+            with pytest.raises(CsvParseError):
+                read_labels_csv(path)

@@ -186,14 +186,6 @@ class TestKPodFit:
         assert np.array_equal(a.centroids.centers, b.centroids.centers)
         assert a.observed_objective_trace == b.observed_objective_trace
 
-    def test_standardize_first(self):
-        rng = np.random.default_rng(10)
-        x = random_masked(rng, 25, 4, 0.3)
-        viaflag = kpod_fit(x, KPodConfig(k=2, seed=3, standardize_first=True))
-        byhand = kpod_fit(standardize(x)[0], KPodConfig(k=2, seed=3))
-        assert np.array_equal(viaflag.assignment.labels, byhand.assignment.labels)
-        assert np.array_equal(viaflag.centroids.centers, byhand.centroids.centers)
-
     def test_fully_masked_row_rejected_with_index(self):
         observed = np.ones((4, 3), bool)
         observed[2, :] = False
@@ -215,12 +207,17 @@ class TestKPodFit:
             kpod_fit(x, KPodConfig(k=2, seed=0))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            KPodConfig(k=0)
-        with pytest.raises(ValueError):
-            KPodConfig(k=2, mm_tol=0.0)
-        with pytest.raises(ValueError):
-            KPodConfig(k=2, max_mm_iter=0)
+        for bad in [dict(k=0), dict(k=2.5), dict(k="3"),
+                    dict(k=2, mm_tol=0.0), dict(k=2, mm_tol=float("nan")),
+                    dict(k=2, max_mm_iter=0), dict(k=2, max_mm_iter=10.0)]:
+            with pytest.raises(ValueError):
+                KPodConfig(**bad)
+        for bad in [dict(max_iter=0), dict(max_iter=2.5), dict(tol=0.0),
+                    dict(tol=float("nan")), dict(n_init=0), dict(n_init=1.0)]:
+            with pytest.raises(ValueError):
+                EngineSettings(**bad)
+        KPodConfig(k=np.int64(2), max_mm_iter=np.int32(5),
+                   inner=EngineSettings(max_iter=np.int64(3), n_init=np.int64(2)))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
