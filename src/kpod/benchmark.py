@@ -23,7 +23,7 @@ from .baselines import delete_cluster, mean_impute_cluster
 from .errors import DeletionInfeasibleError, KPodError
 from .evaluation import adjusted_rand_index, rand_index, timing_harness
 from .csv_io import DEFAULT_MISSING_TOKEN, read_masked_csv, write_csv
-from .kmeans import Assignment, EngineSettings
+from .kmeans import Assignment, EngineSettings, check_count
 from .masked import MaskedMatrix, standardize
 from .missingness import Mechanism, MechanismSpec, MixtureSpec, ampute, perturb_dataset, simulate_mixture
 from .mm import KPodConfig, kpod_fit
@@ -81,6 +81,7 @@ class ScenarioGrid:
     mm_tol: float = KPodConfig.mm_tol
 
     def __post_init__(self):
+        check_count("k", self.k)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.mechanisms:
@@ -127,9 +128,12 @@ class ScenarioGrid:
             tol=float(raw.pop("inner_tol", EngineSettings.tol)),
             n_init=int(raw.pop("n_init", EngineSettings.n_init)),
         )
+        k = raw.pop("k")
+        if isinstance(k, float) and k.is_integer():
+            k = int(k)  # JSON may write a count as 2.0; 2.5 stays and is rejected
         grid = cls(
             dataset=dataset,
-            k=int(raw.pop("k")),
+            k=k,
             mechanisms=tuple(mechanisms),
             rates=tuple(float(r) for r in raw.pop("rates")),
             methods=tuple(str(m) for m in raw.pop("methods", METHODS)),

@@ -154,9 +154,16 @@ def write_masked_csv(x: MaskedMatrix, path, missing_token: str = DEFAULT_MISSING
 
 
 def read_labels_csv(path) -> Assignment:
-    """Read a single-column label CSV (header row, then one label per row)."""
-    _, rows = _read_rows(Path(path), has_header=True, width=1)
-    return _code_labels([row[0].strip() for row in rows])
+    """Read a single-column label CSV (header row, then one label per row).
+
+    An empty label cell raises :class:`CsvParseError` with its 1-based line.
+    """
+    path = Path(path)
+    _, rows = _read_rows(path, has_header=True, width=1)
+    raw = [row[0].strip() for row in rows]
+    if "" in raw:
+        raise CsvParseError(f"{path}: missing label", line=raw.index("") + 2, column=1)
+    return _code_labels(raw)
 
 
 def write_labels_csv(labels: Assignment, path, column_name: str = "label") -> None:

@@ -109,11 +109,46 @@ def _as_data(data) -> np.ndarray:
     return data
 
 
+# Rows per block of assign_step: bounds its temporaries, including a recheck of
+# every row of a block, to _BLOCK_ROWS * k * p floats.
+_BLOCK_ROWS = 1024
+
+
 def _sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # Direct differences rather than the expanded |x|^2 - 2x.c + |c|^2 form:
-    # exact ties then stay exact, which the tie-break contract relies on.
+    # The exact path. Direct differences keep exact ties exact, which the
+    # lowest-index tie-break relies on; assign_step falls back to this for rows
+    # its GEMM form cannot decide, and seeding samples from these values, so
+    # they must not change.
     diff = data[:, None, :] - centers[None, :, :]
     return np.einsum("nkp,nkp->nk", diff, diff)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gemm_argmin(block: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-center labels of ``block`` by GEMM, and the rows GEMM cannot decide.
+
+    GEMM gives |c|^2 - 2x.c, the squared distance less |x|^2, which moves no
+    argmin. With s = |x|^2 + max |c|^2, a value of it and the matching value
+    of :func:`_sq_dists` together err by at most (2p + 3) eps s, so a row
+    whose two smallest values lie more than 8 (p + 4) eps s apart, over twice
+    that, has the exact path's label. The rest are unsure:
+    near and exact ties, non-finite margins, and rows with 4 s past the
+    largest float, whose exact distances (at most 2 s) may overflow to ties at
+    inf that only the index breaks. Adding the smallest normal number to s
+    covers the absolute error of gradual underflow. Overflow here is expected
+    and handled, so it raises no warning.
+    """
+    c_sq = np.einsum("kp,kp->k", centers, centers)
+    dists = block @ (-2.0 * centers.T)
+    dists += c_sq
+    best = np.argmin(dists, axis=1)
+    rows = np.arange(block.shape[0])
+    margin = -dists[rows, best]
+    dists[rows, best] = np.inf
+    margin += dists.min(axis=1)
+    scale = np.einsum("ij,ij->i", block, block) + (c_sq.max() + np.finfo(float).tiny)
+    bound = (4 * scale) * (2 * (centers.shape[1] + 4) * np.finfo(float).eps)
+    return best, np.flatnonzero(~((margin > bound) & (margin < np.inf)))
 
 
 def kmeans_objective(data, a: Assignment, b: Centroids) -> float:
@@ -127,8 +162,10 @@ def kmeans_objective(data, a: Assignment, b: Centroids) -> float:
         )
     if a.labels.size and a.labels.max() >= b.k:
         raise IndexError(f"label {int(a.labels.max())} out of range for k={b.k}")
-    diff = data - b.centers[a.labels]
-    return float(np.sum(diff * diff))
+    diff = b.centers[a.labels]
+    np.subtract(data, diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return float(np.sum(diff))
 
 
 def kmeanspp_init(data, k: int, seed=None) -> Centroids:
@@ -155,6 +192,10 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
     duplicated = False
     for i in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise InfeasibleError(
+                "squared distances overflow; the data's scale is too large to seed k-means"
+            )
         if total > 0:
             chosen[i] = rng.choice(n, p=d2 / total)
         else:
@@ -182,7 +223,14 @@ def assign_step(data, b: Centroids) -> Assignment:
         raise ShapeMismatchError(
             f"centers have {b.n_features} features, data has {data.shape[1]}"
         )
-    return Assignment(labels=np.argmin(_sq_dists(data, b.centers), axis=1))
+    labels = np.empty(data.shape[0], dtype=np.int64)
+    for start in range(0, data.shape[0], _BLOCK_ROWS):
+        block = data[start:start + _BLOCK_ROWS]
+        best, unsure = _gemm_argmin(block, b.centers)
+        if unsure.size:
+            best[unsure] = np.argmin(_sq_dists(block[unsure], b.centers), axis=1)
+        labels[start:start + _BLOCK_ROWS] = best
+    return Assignment(labels=labels)
 
 
 def update_step(data, a: Assignment, k: int) -> Centroids:
@@ -199,8 +247,11 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
     if labels.size and labels.max() >= k:
         raise IndexError(f"label {int(labels.max())} out of range for k={k}")
     counts = np.bincount(labels, minlength=k)
-    sums = np.zeros((k, data.shape[1]))
-    np.add.at(sums, labels, data)
+    p = data.shape[1]
+    # One bin per (cluster, column) cell; each bin adds its rows in row order,
+    # exactly as np.add.at would.
+    cells = (labels * p)[:, None] + np.arange(p)
+    sums = np.bincount(cells.ravel(), weights=data.ravel(), minlength=k * p).reshape(k, p)
     centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], 0.0)
 
     empty = np.flatnonzero(counts == 0)

@@ -122,8 +122,10 @@ def project_observed(x: MaskedMatrix, model) -> float:
     the model agrees with ``x`` on every observed entry.
     """
     model = _check_same_shape(x, model)
-    diff = (x.values - model) * x.observed
-    return float(np.sum(diff * diff))
+    diff = np.subtract(x.values, model)
+    np.multiply(diff, x.observed, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return float(np.sum(diff))
 
 
 def fill_unobserved(x: MaskedMatrix, source) -> np.ndarray:

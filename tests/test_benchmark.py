@@ -163,6 +163,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             tiny_grid(methods=("kpod", "magic"))
 
+    def test_k_must_be_a_count(self):
+        for k in (2.5, 0, -1, "3"):
+            with pytest.raises(ValueError, match="k must be"):
+                tiny_grid(k=k)
+        raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "mechanisms": ["mcar"], "rates": [0.25],
+               "methods": ["kpod"], "trials": 1, "base_seed": 9}
+        with pytest.raises(ValueError, match="k must be"):
+            ScenarioGrid.from_dict({**raw, "k": 2.5})
+        grid = ScenarioGrid.from_dict({**raw, "k": 2.0})
+        assert grid.k == 2 and isinstance(grid.k, int)
+
     def test_needs_dataset_section(self):
         with pytest.raises(KPodError):
             ScenarioGrid.from_dict({"k": 2, "mechanisms": ["mcar"], "rates": [0.1],

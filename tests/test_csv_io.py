@@ -143,6 +143,14 @@ class TestLabelsCsv:
             got = read_labels_csv(path)
             assert got.labels.tolist() == [0, 1, 0]
 
+    def test_empty_label_cell_located(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        for text in ['label\na\n""\nb\n', "label\na\n  \nb\n"]:
+            path.write_text(text)
+            with pytest.raises(CsvParseError, match="missing label") as info:
+                read_labels_csv(path)
+            assert info.value.line == 3
+
     def test_needs_rows(self, tmp_path):
         path = tmp_path / "labels.csv"
         for text in ["", "label\n", "label\n\n"]:

@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpod import (
     Assignment,
@@ -15,6 +17,53 @@ from kpod import (
     lloyd,
     update_step,
 )
+from kpod.kmeans import _BLOCK_ROWS, _sq_dists
+
+# Cases for the exact-oracle properties: a layout of rows and centers, then a
+# scale. Small integers give exact ties and duplicate rows; midpoints between
+# two centers, plus noise, give near ties. The 1e6 offset makes the expanded
+# distance cancel badly; near 5e153 some exact distances overflow, at 1e160
+# |x|^2 does, and at 1e-160 it underflows, so the exact path has to decide.
+LAYOUTS = ("normal", "grid", "on_centers", "midpoints")
+SCALES = ((1.0, 0.0), (1.0, 1e6), (5e153, 0.0), (1e160, 0.0), (1e-160, 0.0))
+SHAPES = st.tuples(
+    st.sampled_from([1, 2, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]),
+    st.integers(1, 5),
+    st.integers(1, 6),
+)
+CASES = st.tuples(st.integers(0, 2**32 - 1), SHAPES, st.sampled_from(LAYOUTS), st.sampled_from(SCALES))
+
+
+def exact_case(seed, shape, layout, scale_offset):
+    (n, p, k), (scale, offset) = shape, scale_offset
+    rng = np.random.default_rng(seed)
+    if layout == "grid":
+        data = rng.integers(-2, 3, (n, p)).astype(float)
+        centers = rng.integers(-2, 3, (k, p)).astype(float)
+    else:
+        data, centers = rng.normal(0, 1, (n, p)), rng.normal(0, 1, (k, p))
+    if layout == "on_centers":
+        data = centers[rng.integers(0, k, n)]
+    elif layout == "midpoints":
+        pairs = centers[rng.integers(0, k, (2, n))]
+        data = (pairs[0] + pairs[1]) / 2 + rng.normal(0, 1, (n, p)) * 10.0 ** rng.uniform(-15, -5)
+    return data * scale + offset, centers * scale + offset
+
+
+def update_oracle(data, labels, k):
+    """update_step as written with np.add.at, the reference for its sums."""
+    counts = np.bincount(labels, minlength=k)
+    sums = np.zeros((k, data.shape[1]))
+    np.add.at(sums, labels, data)
+    centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], 0.0)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        own_d2 = np.sum((data - centers[labels]) ** 2, axis=1)
+        for cluster in empty:
+            far = int(np.argmax(own_d2))
+            centers[cluster] = data[far]
+            own_d2[far] = -np.inf
+    return centers
 
 
 class TestObjective:
@@ -40,6 +89,17 @@ class TestObjective:
         )
         got = kmeans_objective(data, Assignment(labels=labels), Centroids(centers=centers))
         assert got == pytest.approx(oracle, rel=1e-12)
+
+    @settings(deadline=None, max_examples=80)
+    @given(CASES)
+    def test_bit_identical_to_difference_expression(self, case):
+        data, centers = exact_case(*case)
+        labels = np.random.default_rng(case[0]).integers(0, len(centers), len(data))
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = data - centers[labels]
+            want = float(np.sum(diff * diff))
+            got = kmeans_objective(data, Assignment(labels=labels), Centroids(centers=centers))
+        assert got.hex() == want.hex()
 
     def test_out_of_range_label(self):
         with pytest.raises(IndexError):
@@ -132,6 +192,42 @@ class TestAssign:
         with pytest.raises(ShapeMismatchError):
             assign_step(np.ones((2, 3)), Centroids(centers=np.ones((2, 2))))
 
+    @settings(deadline=None, max_examples=150)
+    @given(CASES)
+    def test_labels_equal_exact_argmin_on_whole_matrix(self, case):
+        data, centers = exact_case(*case)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.argmin(_sq_dists(data, centers), axis=1)
+        got = assign_step(data, Centroids(centers=centers)).labels
+        assert np.array_equal(got, want)
+
+    def test_allocates_less_than_one_copy_of_the_data(self):
+        rng = np.random.default_rng(5)
+        data = rng.normal(0, 1, (50000, 50))
+        b = Centroids(centers=rng.normal(0, 1, (20, 50)))
+        tracemalloc.start()
+        try:
+            assign_step(data, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes
+
+    @pytest.mark.parametrize("row, centers", [
+        # The expanded form overflows for center 0 only.
+        (-1.0e154, [0.8e154, 0.35e154]),
+        # The expanded form is finite, and farther from center 0 by far more
+        # than its rounding error.
+        (-1.2247e154, [0.25e154, 0.15e154]),
+    ])
+    def test_overflowing_distances_tie_at_lowest_index(self, row, centers):
+        # Both exact distances overflow to inf, so center 0 wins the tie.
+        data = np.array([[row]])
+        b = Centroids(centers=np.array(centers)[:, None])
+        with np.errstate(over="ignore"):
+            assert np.isinf(_sq_dists(data, b.centers)).all()
+        assert assign_step(data, b).labels.tolist() == [0]
+
 
 class TestUpdate:
     def test_singletons(self):
@@ -160,6 +256,19 @@ class TestUpdate:
         grand = data.mean(axis=0)
         assert np.allclose(got.centers[0], grand)
         assert np.array_equal(got.centers[1], data[2])
+
+    @settings(deadline=None, max_examples=100)
+    @given(CASES, st.booleans())
+    def test_bit_identical_to_add_at_oracle(self, case, signed_zeros):
+        data, _ = exact_case(*case)
+        (n, p, k), rng = case[1], np.random.default_rng(case[0])
+        if signed_zeros:
+            data = rng.choice([0.0, -0.0, 1.0], (n, p))
+        labels = rng.integers(0, k, n)  # k > n, or chance, leaves clusters empty
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = update_oracle(data, labels, k)
+            got = update_step(data, Assignment(labels=labels), k).centers
+        assert got.tobytes() == want.tobytes()
 
     def test_two_empty_clusters_take_distinct_rows(self):
         data = np.array([[0.0], [8.0], [10.0]])  # grand mean 6: farthest rows are 0 then 10

@@ -103,6 +103,23 @@ class TestProjectObserved:
         with pytest.raises(ShapeMismatchError):
             project_observed(x, np.zeros((2, 2)))
 
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 6),
+           st.sampled_from([(1.0, 0.0), (1.0, 1e6), (1e160, 0.0), (1e-160, 0.0)]))
+    def test_bit_identical_to_difference_expression(self, seed, n, p, scale_offset):
+        # Offsets where the difference cancels, and scales where its square
+        # overflows or underflows.
+        scale, offset = scale_offset
+        rng = np.random.default_rng(seed)
+        x = MaskedMatrix(values=rng.normal(0, 1, (n, p)) * scale + offset,
+                         observed=rng.random((n, p)) >= 0.4)
+        model = rng.normal(0, 1, (n, p)) * scale + offset
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = (x.values - model) * x.observed
+            want = float(np.sum(diff * diff))
+            got = project_observed(x, model)
+        assert got.hex() == want.hex()
+
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2**32 - 1))
     def test_nonnegative_with_equality_iff_agreement(self, seed):

@@ -194,6 +194,15 @@ class TestKPodFit:
             kpod_fit(x, KPodConfig(k=2, seed=0))
         assert err.value.row == 2
 
+    def test_overflowing_scale_is_infeasible_not_a_numpy_error(self):
+        # Squared distances between rows near 1e200 overflow, so seeding has
+        # no finite probabilities to sample from.
+        rng = np.random.default_rng(13)
+        x = MaskedMatrix(values=rng.normal(0, 1, (30, 3)) * 1e200,
+                         observed=np.ones((30, 3), bool))
+        with np.errstate(over="ignore"), pytest.raises(InfeasibleError, match="overflow"):
+            kpod_fit(x, KPodConfig(k=3, seed=0))
+
     def test_k_larger_than_n_rejected(self):
         x = MaskedMatrix(values=np.ones((3, 2)), observed=np.ones((3, 2), bool))
         with pytest.raises(InfeasibleError):
