@@ -63,6 +63,12 @@ class FileDataset:
     label_column: str | None = None
 
 
+def _count(value):
+    """A count read from JSON, which may write 2 as 2.0. Any other value,
+    2.5 included, passes through unchanged for the grid to reject."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 @dataclass(frozen=True)
 class ScenarioGrid:
     """Declarative description of a benchmark campaign."""
@@ -82,8 +88,15 @@ class ScenarioGrid:
 
     def __post_init__(self):
         check_count("k", self.k)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_count("trials", self.trials)
+        check_count("base_seed", self.base_seed, minimum=0)
+        check_count("max_mm_iter", self.max_mm_iter)
+        if not self.mm_tol > 0:
+            raise ValueError("mm_tol must be > 0")
+        if not self.perturb_rel_sd >= 0:
+            raise ValueError("perturb_rel_sd must be >= 0")
+        if not isinstance(self.standardize, bool):
+            raise ValueError("standardize must be true or false")
         if not self.mechanisms:
             raise ValueError("need at least one mechanism")
         if not all(0 < r < 1 for r in self.rates):
@@ -99,7 +112,7 @@ class ScenarioGrid:
         if "mixture" in raw:
             m = raw.pop("mixture")
             dataset = MixtureSpec(
-                n=int(m["n"]), p=int(m["p"]), k=int(m["k"]),
+                n=_count(m["n"]), p=_count(m["p"]), k=_count(m["k"]),
                 center_sd=float(m.get("center_sd", MixtureSpec.center_sd)),
                 noise_variance=float(m.get("noise_variance", MixtureSpec.noise_variance)),
             )
@@ -124,25 +137,22 @@ class ScenarioGrid:
             ))
 
         engine = EngineSettings(
-            max_iter=int(raw.pop("inner_max_iter", EngineSettings.max_iter)),
+            max_iter=_count(raw.pop("inner_max_iter", EngineSettings.max_iter)),
             tol=float(raw.pop("inner_tol", EngineSettings.tol)),
-            n_init=int(raw.pop("n_init", EngineSettings.n_init)),
+            n_init=_count(raw.pop("n_init", EngineSettings.n_init)),
         )
-        k = raw.pop("k")
-        if isinstance(k, float) and k.is_integer():
-            k = int(k)  # JSON may write a count as 2.0; 2.5 stays and is rejected
         grid = cls(
             dataset=dataset,
-            k=k,
+            k=_count(raw.pop("k")),
             mechanisms=tuple(mechanisms),
             rates=tuple(float(r) for r in raw.pop("rates")),
             methods=tuple(str(m) for m in raw.pop("methods", METHODS)),
-            trials=int(raw.pop("trials")),
-            base_seed=int(raw.pop("base_seed")),
-            standardize=bool(raw.pop("standardize", cls.standardize)),
+            trials=_count(raw.pop("trials")),
+            base_seed=_count(raw.pop("base_seed")),
+            standardize=raw.pop("standardize", cls.standardize),
             perturb_rel_sd=float(raw.pop("perturb_rel_sd", cls.perturb_rel_sd)),
             engine=engine,
-            max_mm_iter=int(raw.pop("max_mm_iter", cls.max_mm_iter)),
+            max_mm_iter=_count(raw.pop("max_mm_iter", cls.max_mm_iter)),
             mm_tol=float(raw.pop("mm_tol", cls.mm_tol)),
         )
         if raw:
@@ -224,12 +234,12 @@ def _run_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, trial: int,
     achieved = 1.0 - masked.observed_fraction
     x = standardize(masked)[0] if grid.standardize else masked
 
+    # One clustering seed per trial, shared by every method: the methods then
+    # differ only in how they treat the missing entries, which keeps
+    # per-trial comparisons paired.
+    seed = derive_seed(grid.base_seed, "run", mech_index, rate_index, trial)
     rows = []
     for method in grid.methods:
-        # One clustering seed per trial, shared by every method: the methods
-        # then differ only in how they treat the missing entries, which keeps
-        # per-trial comparisons paired.
-        seed = derive_seed(grid.base_seed, "run", mech_index, rate_index, trial)
         common = dict(
             mechanism=mechanism, target_rate=target_rate, achieved_rate=achieved,
             method=method, trial=trial,
@@ -255,14 +265,12 @@ def _run_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, trial: int,
                 )
                 predicted = fit[0].assignment
                 mm_iterations = None
-        except DeletionInfeasibleError:
-            rows.append(ReportRow(**common, rand=None, adjusted_rand=None,
-                                  seconds=None, mm_iterations=None, status="infeasible"))
-            continue
         except KPodError as exc:
+            # Deletion with no complete column is a valid outcome, not a fault.
+            status = ("infeasible" if isinstance(exc, DeletionInfeasibleError)
+                      else f"error:{type(exc).__name__}")
             rows.append(ReportRow(**common, rand=None, adjusted_rand=None,
-                                  seconds=None, mm_iterations=None,
-                                  status=f"error:{type(exc).__name__}"))
+                                  seconds=None, mm_iterations=None, status=status))
             continue
         rows.append(ReportRow(
             **common,

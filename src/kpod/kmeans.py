@@ -96,10 +96,11 @@ class EngineSettings:
         check_count("n_init", self.n_init)
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1")
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``minimum``. A bool
+    is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 def _as_data(data) -> np.ndarray:
@@ -264,8 +265,7 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
     return Centroids(centers=centers)
 
 
-def _lloyd_single(data: np.ndarray, k: int, centers0: np.ndarray, max_iter: int, tol: float) -> KMeansResult:
-    centers = Centroids(centers=centers0)
+def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, tol: float) -> KMeansResult:
     assignment = None
     obj = np.inf
     converged = False
@@ -308,13 +308,12 @@ def lloyd(data, k: int, seed=None, max_iter: int = 100, tol: float = 1e-6,
             raise ShapeMismatchError(
                 f"init centers shape {init.centers.shape} incompatible with k={k}, p={data.shape[1]}"
             )
-        return _lloyd_single(data, k, init.centers.copy(), max_iter, tol)
+        return _lloyd_single(data, k, init, max_iter, tol)
 
     rng = np.random.default_rng(seed)
     best: KMeansResult | None = None
     for _ in range(n_init):
-        centers0 = kmeanspp_init(data, k, seed=rng).centers.copy()
-        result = _lloyd_single(data, k, centers0, max_iter, tol)
+        result = _lloyd_single(data, k, kmeanspp_init(data, k, seed=rng), max_iter, tol)
         if best is None or result.objective < best.objective:
             best = result
     return best

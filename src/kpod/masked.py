@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumnError, ShapeMismatchError
+from .errors import DegenerateColumnError, InfeasibleError, ShapeMismatchError
 
 __all__ = [
     "MaskedMatrix",
@@ -163,8 +163,18 @@ def standardize(x: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
     centered only (divided by 1) so constant columns come out as zeros rather
     than NaNs. The mask is unchanged. Returns the stats that were used so
     results can be mapped back to the original scale.
+
+    Raises :class:`InfeasibleError` naming the first column whose mean or
+    standard deviation overflows: dividing by it would turn the column into
+    zeros without a sign that anything went wrong.
     """
     stats = column_stats(x)
+    overflowed = np.flatnonzero(~(np.isfinite(stats.means) & np.isfinite(stats.std_devs)))
+    if overflowed.size:
+        raise InfeasibleError(
+            f"column {int(overflowed[0])}: observed mean or standard deviation is not "
+            "finite; its scale is too large to standardize"
+        )
     scale = np.where(stats.std_devs > 0, stats.std_devs, 1.0)
     scaled = (x.values - stats.means) / scale
     return MaskedMatrix(values=scaled, observed=x.observed), stats

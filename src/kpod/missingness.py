@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, QuantileFallbackWarning
-from .kmeans import Assignment
+from .kmeans import Assignment, check_count
 from .masked import MaskedMatrix
 
 __all__ = [
@@ -87,11 +87,11 @@ class MixtureSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if min(self.n, self.p, self.k) < 1:
-            raise ValueError("n, p, k must all be >= 1")
+        for name in ("n", "p", "k"):
+            check_count(name, getattr(self, name))
         # noise_variance 0 is allowed: rows then equal their component mean
         # exactly, which is the useful degenerate case for recovery tests.
-        if self.center_sd < 0 or self.noise_variance < 0:
+        if not (self.center_sd >= 0 and self.noise_variance >= 0):
             raise ValueError("center_sd and noise_variance must be nonnegative")
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRowError, InfeasibleError
-from .kmeans import Assignment, Centroids, EngineSettings, check_count, lloyd
-from .masked import MaskedMatrix, column_stats, fill_unobserved, project_observed
+from .kmeans import Assignment, Centroids, EngineSettings, check_count, kmeans_objective, lloyd
+from .masked import MaskedMatrix, column_stats, fill_unobserved
 
 __all__ = ["KPodConfig", "KPodResult", "init_fill", "majorization_value", "kpod_fit"]
 
@@ -42,10 +42,12 @@ class KPodConfig:
 class KPodResult:
     """Fit output: final clustering plus the observed-objective trace.
 
-    ``observed_objective_trace[m]`` is the observed-entry squared error of the
-    m-th iterate; entry 0 belongs to the initial complete-data solve. The
-    trace is non-increasing. ``fitted_fill`` is the input matrix with every
-    unobserved cell replaced by its assigned center's value.
+    ``observed_objective_trace[m]`` is the k-means objective of the matrix
+    that round m filled from its iterate (entry 0 belongs to the initial
+    complete-data solve). Off the mask that matrix equals the model, so the
+    value is the iterate's observed-entry squared error, and the trace is
+    non-increasing. ``fitted_fill`` is the last such matrix: the input with
+    every unobserved cell replaced by its assigned center's value.
     """
 
     assignment: Assignment
@@ -62,12 +64,6 @@ def init_fill(x: MaskedMatrix) -> np.ndarray:
     return np.where(x.observed, x.values, stats.means)
 
 
-def _model(a: Assignment, b: Centroids) -> np.ndarray:
-    if a.labels.size and a.labels.max() >= b.k:
-        raise IndexError(f"label {int(a.labels.max())} out of range for k={b.k}")
-    return b.centers[a.labels]
-
-
 def majorization_value(x: MaskedMatrix, a: Assignment, b: Centroids,
                        a_prev: Assignment, b_prev: Centroids) -> float:
     """Surrogate loss: full squared error against the previous iterate's fill.
@@ -76,8 +72,8 @@ def majorization_value(x: MaskedMatrix, a: Assignment, b: Centroids,
     b_prev)`` and dominates it everywhere else. Used in tests; the fit itself
     never needs to evaluate it.
     """
-    filled = fill_unobserved(x, _model(a_prev, b_prev))
-    diff = filled - _model(a, b)
+    filled = fill_unobserved(x, b_prev.centers[a_prev.labels])
+    diff = filled - b.centers[a.labels]
     if diff.shape != x.shape:
         raise ValueError("inconsistent shapes")
     return float(np.sum(diff * diff))
@@ -104,51 +100,37 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     """
     validate_clusterable(x, cfg.k)
 
-    rng = np.random.default_rng(cfg.seed)
     result = lloyd(
-        init_fill(x), cfg.k, seed=rng,
+        init_fill(x), cfg.k, seed=cfg.seed,
         max_iter=cfg.inner.max_iter, tol=cfg.inner.tol, n_init=cfg.inner.n_init,
     )
-    assignment, centroids = result.assignment, result.centroids
-    model = _model(assignment, centroids)
-    trace = [project_observed(x, model)]
+    # Off the mask a fill equals the model, so the k-means objective of the
+    # filled matrix is the observed-entry objective, bit for bit.
+    filled = fill_unobserved(x, result.centroids.centers[result.assignment.labels])
+    trace = [kmeans_objective(filled, result.assignment, result.centroids)]
 
-    if x.complete():
-        # No unobserved cells: the fill step is the identity and the initial
-        # solve is already the answer.
-        return KPodResult(
-            assignment=assignment,
-            centroids=centroids,
-            observed_objective_trace=trace,
-            mm_iterations=0,
-            converged=True,
-            fitted_fill=x.values.copy(),
-        )
-
-    converged = False
-    for _ in range(cfg.max_mm_iter):
-        filled = fill_unobserved(x, model)
+    # Complete data has no unobserved cells: the fill is the identity and the
+    # initial solve is already the answer, so no round runs.
+    converged = x.complete()
+    while not converged and len(trace) <= cfg.max_mm_iter:
         result = lloyd(
-            filled, cfg.k, seed=rng, init=centroids,
+            filled, cfg.k, init=result.centroids,
             max_iter=cfg.inner.max_iter, tol=cfg.inner.tol,
         )
-        assignment, centroids = result.assignment, result.centroids
-        model = _model(assignment, centroids)
-        trace.append(project_observed(x, model))
-        prev, cur = trace[-2], trace[-1]
+        filled = fill_unobserved(x, result.centroids.centers[result.assignment.labels])
+        trace.append(kmeans_objective(filled, result.assignment, result.centroids))
+        prev, cur = trace[-2:]
         # Labels alone going quiet is not enough to stop: centers keep
         # contracting toward the observed entries for a while after the
         # assignment stabilizes, and that tail is what drives the objective
         # to its floor.
-        if prev == 0 or (prev - cur) / prev < cfg.mm_tol:
-            converged = True
-            break
+        converged = prev == 0 or (prev - cur) / prev < cfg.mm_tol
 
     return KPodResult(
-        assignment=assignment,
-        centroids=centroids,
+        assignment=result.assignment,
+        centroids=result.centroids,
         observed_objective_trace=trace,
         mm_iterations=len(trace) - 1,
         converged=converged,
-        fitted_fill=fill_unobserved(x, model),
+        fitted_fill=filled,
     )

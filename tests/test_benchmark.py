@@ -163,16 +163,44 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             tiny_grid(methods=("kpod", "magic"))
 
-    def test_k_must_be_a_count(self):
-        for k in (2.5, 0, -1, "3"):
-            with pytest.raises(ValueError, match="k must be"):
-                tiny_grid(k=k)
-        raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "mechanisms": ["mcar"], "rates": [0.25],
-               "methods": ["kpod"], "trials": 1, "base_seed": 9}
-        with pytest.raises(ValueError, match="k must be"):
-            ScenarioGrid.from_dict({**raw, "k": 2.5})
-        grid = ScenarioGrid.from_dict({**raw, "k": 2.0})
-        assert grid.k == 2 and isinstance(grid.k, int)
+    @pytest.mark.parametrize("key", [
+        "k", "trials", "max_mm_iter", "inner_max_iter", "n_init", "base_seed",
+        "mixture.n", "mixture.p", "mixture.k",
+    ])
+    def test_k_must_be_a_count(self, key):
+        raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "k": 2, "mechanisms": ["mcar"],
+               "rates": [0.25], "methods": ["kpod"], "trials": 1, "base_seed": 9}
+        section, _, field = key.rpartition(".")
+        name = field.removeprefix("inner_")  # EngineSettings names it max_iter
+
+        def config(value):
+            out = {**raw, "mixture": dict(raw["mixture"])}
+            (out[section] if section else out)[field] = value
+            return out
+
+        lowest = 0 if key == "base_seed" else 1
+        for bad in (2.5, lowest - 1, "3", True):
+            with pytest.raises(ValueError, match=rf"\b{name} must be"):
+                ScenarioGrid.from_dict(config(bad))
+            if not section and key in ScenarioGrid.__dataclass_fields__:
+                with pytest.raises(ValueError, match=rf"\b{name} must be"):
+                    tiny_grid(**{key: bad})
+        # JSON may write a count as 2.0: it is read as the int 2.
+        assert repr(ScenarioGrid.from_dict(config(2.0))) == repr(ScenarioGrid.from_dict(config(2)))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(mm_tol=0.0), dict(mm_tol=float("nan")),
+        dict(perturb_rel_sd=-0.1), dict(perturb_rel_sd=float("nan")),
+        dict(standardize="false"), dict(standardize=0),
+    ], ids=str)
+    def test_bad_values_rejected_when_built(self, overrides):
+        with pytest.raises(ValueError):
+            tiny_grid(**overrides)
+
+    def test_mixture_rejects_nan_spread(self):
+        for bad in (dict(center_sd=float("nan")), dict(noise_variance=float("nan"))):
+            with pytest.raises(ValueError):
+                MixtureSpec(n=10, p=2, k=2, **bad)
 
     def test_needs_dataset_section(self):
         with pytest.raises(KPodError):

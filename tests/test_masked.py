@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from kpod import (
     DegenerateColumnError,
+    InfeasibleError,
     MaskedMatrix,
     ShapeMismatchError,
     column_stats,
@@ -246,3 +247,17 @@ class TestStandardize:
         fresh = column_stats(x)
         assert np.array_equal(stats.means, fresh.means)
         assert np.array_equal(stats.std_devs, fresh.std_devs)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_overflowing_column_is_infeasible_and_named(self, scale):
+        # Squared deviations at these scales overflow, so the standard
+        # deviation is inf, and dividing by it would zero the column silently.
+        rng = np.random.default_rng(8)
+        values = rng.normal(0, 1, (50, 3))
+        values[:, 1:] *= scale
+        x = MaskedMatrix(values=values, observed=np.ones((50, 3), bool))
+        with np.errstate(over="ignore"):
+            with pytest.raises(InfeasibleError, match="column 1"):
+                standardize(x)
+            # column_stats itself still reports what it computed.
+            assert np.isinf(column_stats(x).std_devs[1:]).all()

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpod import (
     Assignment,
@@ -14,6 +17,7 @@ from kpod import (
     MechanismSpec,
     MixtureSpec,
     ampute,
+    fill_unobserved,
     init_fill,
     kpod_fit,
     lloyd,
@@ -23,6 +27,7 @@ from kpod import (
     simulate_mixture,
     standardize,
 )
+from kpod.mm import validate_clusterable
 
 
 def random_masked(rng, n, p, rate):
@@ -216,7 +221,7 @@ class TestKPodFit:
             kpod_fit(x, KPodConfig(k=2, seed=0))
 
     def test_config_validation(self):
-        for bad in [dict(k=0), dict(k=2.5), dict(k="3"),
+        for bad in [dict(k=0), dict(k=2.5), dict(k="3"), dict(k=True),
                     dict(k=2, mm_tol=0.0), dict(k=2, mm_tol=float("nan")),
                     dict(k=2, max_mm_iter=0), dict(k=2, max_mm_iter=10.0)]:
             with pytest.raises(ValueError):
@@ -235,3 +240,96 @@ class TestKPodFit:
         b = kpod_fit(x, KPodConfig(k=3, seed=42))
         assert np.array_equal(a.assignment.labels, b.assignment.labels)
         assert a.observed_objective_trace == b.observed_objective_trace
+
+
+def reference_fit(x, cfg):
+    """kpod_fit as a project_observed pass per round, an early return on
+    complete data and a refill after the last round: the reference that the
+    one-fill, one-objective round must match bit for bit."""
+    validate_clusterable(x, cfg.k)
+    rng = np.random.default_rng(cfg.seed)
+    result = lloyd(init_fill(x), cfg.k, seed=rng, max_iter=cfg.inner.max_iter,
+                   tol=cfg.inner.tol, n_init=cfg.inner.n_init)
+    model = result.centroids.centers[result.assignment.labels]
+    trace = [project_observed(x, model)]
+    if x.complete():
+        return result.assignment, result.centroids, trace, 0, True, x.values.copy()
+    converged = False
+    for _ in range(cfg.max_mm_iter):
+        filled = fill_unobserved(x, model)
+        result = lloyd(filled, cfg.k, seed=rng, init=result.centroids,
+                       max_iter=cfg.inner.max_iter, tol=cfg.inner.tol)
+        model = result.centroids.centers[result.assignment.labels]
+        trace.append(project_observed(x, model))
+        prev, cur = trace[-2], trace[-1]
+        if prev == 0 or (prev - cur) / prev < cfg.mm_tol:
+            converged = True
+            break
+    return (result.assignment, result.centroids, trace, len(trace) - 1, converged,
+            fill_unobserved(x, model))
+
+
+def outcome(fit):
+    """Everything a fit returns, as bytes and hex strings, or the type of the
+    error it raised."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            a, b, trace, rounds, converged, fitted_fill = fit()
+    except Exception as exc:  # the error type is the outcome compared
+        return type(exc)
+    return (a.labels.tobytes(), b.centers.tobytes(), [float(v).hex() for v in trace],
+            rounds, converged, fitted_fill.tobytes())
+
+
+# Scales as in the k-means oracle properties: 1e-160 underflows the squared
+# error to 0, the 1e6 offset cancels badly, and near 5e153 squared distances
+# overflow, so some fits stop at a zero objective and some are infeasible.
+FIT_SCALES = ((1.0, 0.0), (1e-160, 0.0), (1.0, 1e6), (5e153, 0.0))
+FIT_CASES = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3, 12, 40, 120, 120]),
+    st.integers(2, 5),
+    st.sampled_from(["small"] * 4 + ["n", "over"]),
+    st.sampled_from(["normal"] * 3 + ["grid", "constant_rows"]),
+    st.sampled_from(["complete", "mcar", "mar", "nmar"]),
+    st.sampled_from(FIT_SCALES),
+    st.tuples(st.sampled_from([60, 60, 5, 2, 1]), st.sampled_from([1e-15, 1e-15, 1e-6, 1e-2]),
+              st.sampled_from([100, 2, 1]), st.integers(1, 2)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(FIT_CASES)
+def test_kpod_fit_matches_reference_loop_bit_for_bit(case):
+    seed, n, p, k_rule, layout, mechanism, (scale, offset), settings_ = case
+    max_mm_iter, mm_tol, inner_max_iter, n_init = settings_
+    rng = np.random.default_rng(seed)
+    k = {"small": int(rng.integers(1, min(n, 5) + 1)), "n": n, "over": n + 1}[k_rule]
+    if layout == "grid":
+        values = rng.integers(-2, 3, (n, p)).astype(float)
+    elif layout == "constant_rows":
+        values = np.repeat(rng.normal(0, 1, (1, p)), n, axis=0)
+    else:
+        values = rng.normal(0, 1, (n, p))
+    values = values * scale + offset
+    if mechanism == "complete":
+        x = MaskedMatrix(values=values, observed=np.ones((n, p), bool))
+    else:
+        kind = Mechanism(mechanism)
+        spec = MechanismSpec(
+            kind=kind, target_rate=float(rng.choice([0.1, 0.3, 0.45])), seed=seed,
+            mar_columns=tuple(range(p // 2 + 1)) if kind is Mechanism.MAR else None,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            x = ampute(values, spec)
+    cfg = KPodConfig(k=k, seed=seed, max_mm_iter=max_mm_iter, mm_tol=mm_tol,
+                     inner=EngineSettings(max_iter=inner_max_iter, n_init=n_init))
+
+    def fit():
+        r = kpod_fit(x, cfg)
+        return (r.assignment, r.centroids, r.observed_objective_trace, r.mm_iterations,
+                r.converged, r.fitted_fill)
+
+    assert outcome(fit) == outcome(lambda: reference_fit(x, cfg))
