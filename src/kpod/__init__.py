@@ -31,7 +31,7 @@ from .errors import (
     QuantileFallbackWarning,
     ShapeMismatchError,
 )
-from .evaluation import PairCounts, adjusted_rand_index, pair_counts, rand_index, timing_harness
+from .evaluation import PairCounts, adjusted_rand_index, pair_counts, rand_index
 from .kmeans import (
     Assignment,
     Centroids,
@@ -99,7 +99,6 @@ __all__ = [
     "run_benchmark",
     "simulate_mixture",
     "standardize",
-    "timing_harness",
     "update_step",
     "write_labels_csv",
     "write_masked_csv",

@@ -12,8 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,9 +22,9 @@ import numpy as np
 
 from .baselines import delete_cluster, mean_impute_cluster
 from .errors import DeletionInfeasibleError, KPodError
-from .evaluation import adjusted_rand_index, rand_index, timing_harness
+from .evaluation import adjusted_rand_index, rand_index
 from .csv_io import DEFAULT_MISSING_TOKEN, read_masked_csv, write_csv
-from .kmeans import Assignment, EngineSettings, check_count
+from .kmeans import Assignment, EngineSettings, check_count, check_nonnegative
 from .masked import MaskedMatrix, standardize
 from .missingness import Mechanism, MechanismSpec, MixtureSpec, ampute, perturb_dataset, simulate_mixture
 from .mm import KPodConfig, kpod_fit
@@ -42,31 +43,47 @@ __all__ = [
 
 METHODS = ("kpod", "mean_impute", "delete")
 
-REPORT_COLUMNS = [
-    "mechanism", "target_rate", "achieved_rate", "method", "trial",
-    "rand", "adjusted_rand", "seconds", "mm_iterations", "status",
-]
-
-SUMMARY_COLUMNS = [
-    "mechanism", "target_rate", "method", "count",
-    "rand_mean", "rand_se", "adjusted_rand_mean", "adjusted_rand_se",
-    "seconds_mean", "seconds_se",
-]
-
 
 @dataclass(frozen=True)
 class FileDataset:
-    """A complete, labeled CSV on disk used as the benchmark population."""
+    """A complete CSV on disk used as the benchmark population; runs are
+    scored against the true classes in its ``label_column``."""
 
     path: str
+    label_column: str
     missing_token: str = DEFAULT_MISSING_TOKEN
-    label_column: str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.label_column, str):
+            raise ValueError("a benchmark dataset needs a label_column")
 
 
 def _count(value):
     """A count read from JSON, which may write 2 as 2.0. Any other value,
     2.5 included, passes through unchanged for the grid to reject."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _object(value, where: str) -> dict:
+    """A copy of a JSON object of the config; anything else is a KPodError."""
+    if not isinstance(value, dict):
+        raise KPodError(f"{where} must be a JSON object")
+    return dict(value)
+
+
+def _required(section: dict, key: str, where: str = "config"):
+    """Remove and return ``section[key]``; a missing key is a KPodError that names it."""
+    if key not in section:
+        raise KPodError(f"{where} is missing the required key {key!r}")
+    return section.pop(key)
+
+
+def _array(section: dict, key: str, default=None) -> list:
+    """Remove and return the JSON array ``section[key]``, required unless a default is given."""
+    value = _required(section, key) if default is None else section.pop(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise KPodError(f"config key {key!r} must be a JSON array")
+    return value
 
 
 @dataclass(frozen=True)
@@ -87,48 +104,50 @@ class ScenarioGrid:
     mm_tol: float = KPodConfig.mm_tol
 
     def __post_init__(self):
-        check_count("k", self.k)
+        self.kpod_config()  # checks k, max_mm_iter, mm_tol
         check_count("trials", self.trials)
         check_count("base_seed", self.base_seed, minimum=0)
-        check_count("max_mm_iter", self.max_mm_iter)
-        if not self.mm_tol > 0:
-            raise ValueError("mm_tol must be > 0")
-        if not self.perturb_rel_sd >= 0:
-            raise ValueError("perturb_rel_sd must be >= 0")
+        check_nonnegative("perturb_rel_sd", self.perturb_rel_sd)
         if not isinstance(self.standardize, bool):
             raise ValueError("standardize must be true or false")
-        if not self.mechanisms:
-            raise ValueError("need at least one mechanism")
+        for name in ("mechanisms", "rates", "methods"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if not all(0 < r < 1 for r in self.rates):
             raise ValueError("rates must lie in (0, 1)")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
 
+    def kpod_config(self, seed: int | None = None) -> KPodConfig:
+        """The fit settings of this grid's runs, with clustering seed ``seed``."""
+        return KPodConfig(k=self.k, seed=seed, max_mm_iter=self.max_mm_iter,
+                          mm_tol=self.mm_tol, inner=self.engine)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioGrid":
         """Build a grid from the flat config-file schema (see README)."""
-        raw = dict(raw)
+        raw = _object(raw, "config")
         if "mixture" in raw:
-            m = raw.pop("mixture")
+            m = _object(raw.pop("mixture"), "mixture")
             dataset = MixtureSpec(
-                n=_count(m["n"]), p=_count(m["p"]), k=_count(m["k"]),
+                **{key: _count(_required(m, key, "mixture")) for key in ("n", "p", "k")},
                 center_sd=float(m.get("center_sd", MixtureSpec.center_sd)),
                 noise_variance=float(m.get("noise_variance", MixtureSpec.noise_variance)),
             )
         elif "dataset" in raw:
-            d = raw.pop("dataset")
+            d = _object(raw.pop("dataset"), "dataset")
             dataset = FileDataset(
-                path=str(d["path"]),
+                path=str(_required(d, "path", "dataset")),
+                label_column=_required(d, "label_column", "dataset"),
                 missing_token=str(d.get("missing_token", FileDataset.missing_token)),
-                label_column=d.get("label_column"),
             )
         else:
             raise KPodError("config needs either a 'mixture' or a 'dataset' section")
 
-        mar_columns = tuple(int(c) for c in raw.pop("mar_columns", ()))
+        mar_columns = _array(raw, "mar_columns", ())
         mechanisms = []
-        for name in raw.pop("mechanisms"):
+        for name in _array(raw, "mechanisms"):
             kind = Mechanism.parse(str(name))
             mechanisms.append(MechanismSpec(
                 kind=kind,
@@ -143,12 +162,12 @@ class ScenarioGrid:
         )
         grid = cls(
             dataset=dataset,
-            k=_count(raw.pop("k")),
+            k=_count(_required(raw, "k")),
             mechanisms=tuple(mechanisms),
-            rates=tuple(float(r) for r in raw.pop("rates")),
-            methods=tuple(str(m) for m in raw.pop("methods", METHODS)),
-            trials=_count(raw.pop("trials")),
-            base_seed=_count(raw.pop("base_seed")),
+            rates=tuple(float(r) for r in _array(raw, "rates")),
+            methods=tuple(str(m) for m in _array(raw, "methods", METHODS)),
+            trials=_count(_required(raw, "trials")),
+            base_seed=_count(_required(raw, "base_seed")),
             standardize=raw.pop("standardize", cls.standardize),
             perturb_rel_sd=float(raw.pop("perturb_rel_sd", cls.perturb_rel_sd)),
             engine=engine,
@@ -198,8 +217,6 @@ def _population(grid: ScenarioGrid, seed: int) -> tuple[np.ndarray, Assignment]:
             missing_token=grid.dataset.missing_token,
             label_column=grid.dataset.label_column,
         )
-        if labels is None:
-            raise KPodError("benchmarking a file dataset requires a label_column")
         if not x.complete():
             raise KPodError("benchmark source data must be complete")
         values = x.values.copy()
@@ -228,43 +245,32 @@ def dataset_for_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, tria
 
 def _run_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, trial: int,
                measure_time: bool) -> list[ReportRow]:
-    mechanism = grid.mechanisms[mech_index].kind.value
-    target_rate = grid.rates[rate_index]
     _, labels, masked = dataset_for_trial(grid, mech_index, rate_index, trial)
-    achieved = 1.0 - masked.observed_fraction
-    x = standardize(masked)[0] if grid.standardize else masked
-
     # One clustering seed per trial, shared by every method: the methods then
     # differ only in how they treat the missing entries, which keeps
     # per-trial comparisons paired.
-    seed = derive_seed(grid.base_seed, "run", mech_index, rate_index, trial)
+    cfg = grid.kpod_config(seed=derive_seed(grid.base_seed, "run", mech_index, rate_index, trial))
+    failure = None
+    try:
+        x = standardize(masked)[0] if grid.standardize else masked
+    except KPodError as exc:
+        failure = exc  # every method of the trial reports it
     rows = []
     for method in grid.methods:
-        common = dict(
-            mechanism=mechanism, target_rate=target_rate, achieved_rate=achieved,
-            method=method, trial=trial,
-        )
+        common = dict(mechanism=grid.mechanisms[mech_index].kind.value,
+                      target_rate=grid.rates[rate_index],
+                      achieved_rate=1.0 - masked.observed_fraction, method=method, trial=trial)
         try:
+            if failure is not None:
+                raise failure
+            start = time.perf_counter()
             if method == "kpod":
-                cfg = KPodConfig(
-                    k=grid.k, seed=seed, max_mm_iter=grid.max_mm_iter,
-                    mm_tol=grid.mm_tol, inner=grid.engine,
-                )
-                fit, seconds = timing_harness(lambda: kpod_fit(x, cfg))
-                predicted = fit.assignment
-                mm_iterations = fit.mm_iterations
+                fit = kpod_fit(x, cfg)
             elif method == "mean_impute":
-                fit, seconds = timing_harness(
-                    lambda: mean_impute_cluster(x, grid.k, seed=seed, engine=grid.engine)
-                )
-                predicted = fit.assignment
-                mm_iterations = None
+                fit = mean_impute_cluster(x, cfg.k, seed=cfg.seed, engine=cfg.inner)
             else:
-                fit, seconds = timing_harness(
-                    lambda: delete_cluster(x, grid.k, seed=seed, engine=grid.engine)
-                )
-                predicted = fit[0].assignment
-                mm_iterations = None
+                fit = delete_cluster(x, cfg.k, seed=cfg.seed, engine=cfg.inner)[0]
+            seconds = time.perf_counter() - start
         except KPodError as exc:
             # Deletion with no complete column is a valid outcome, not a fault.
             status = ("infeasible" if isinstance(exc, DeletionInfeasibleError)
@@ -274,17 +280,13 @@ def _run_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, trial: int,
             continue
         rows.append(ReportRow(
             **common,
-            rand=rand_index(labels, predicted),
-            adjusted_rand=adjusted_rand_index(labels, predicted),
+            rand=rand_index(labels, fit.assignment),
+            adjusted_rand=adjusted_rand_index(labels, fit.assignment),
             seconds=seconds if measure_time else 0.0,
-            mm_iterations=mm_iterations,
+            mm_iterations=fit.mm_iterations if method == "kpod" else None,
             status="ok",
         ))
     return rows
-
-
-def _run_trial_args(args) -> list[ReportRow]:
-    return _run_trial(*args)
 
 
 def run_benchmark(grid: ScenarioGrid, workers: int = 1, measure_time: bool = True,
@@ -302,10 +304,10 @@ def run_benchmark(grid: ScenarioGrid, workers: int = 1, measure_time: bool = Tru
         for trial in range(grid.trials)
     ]
     if workers <= 1:
-        grouped = [_run_trial_args(task) for task in tasks]
+        grouped = [_run_trial(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(_run_trial_args, tasks))
+            grouped = list(pool.map(_run_trial, *zip(*tasks)))
     return [row for group in grouped for row in group]
 
 
@@ -370,8 +372,9 @@ def aggregate_rows(rows: Sequence[ReportRow]) -> list[_Aggregate]:
 
 
 def write_report(rows: Sequence[ReportRow], path) -> None:
-    """Write the per-run report CSV plus its aggregated companion file."""
-    write_csv(path, REPORT_COLUMNS,
-              ([getattr(row, name) for name in REPORT_COLUMNS] for row in rows))
-    write_csv(summary_path_for(path), SUMMARY_COLUMNS,
-              ([getattr(agg, name) for name in SUMMARY_COLUMNS] for agg in aggregate_rows(rows)))
+    """Write the per-run report CSV plus its aggregated companion file, with
+    one column per field of ``ReportRow`` and of ``_Aggregate``."""
+    for out, kind, records in ((path, ReportRow, rows),
+                               (summary_path_for(path), _Aggregate, aggregate_rows(rows))):
+        names = [f.name for f in fields(kind)]
+        write_csv(out, names, ([getattr(r, name) for name in names] for r in records))

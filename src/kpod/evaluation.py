@@ -1,10 +1,8 @@
-"""Cluster-agreement scoring and wall-clock timing for benchmark runs."""
+"""Cluster-agreement scoring: the Rand and adjusted Rand indices."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -16,10 +14,7 @@ __all__ = [
     "pair_counts",
     "rand_index",
     "adjusted_rand_index",
-    "timing_harness",
 ]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -100,14 +95,3 @@ def adjusted_rand_index(a, b) -> float:
         c.same_same + c.diff_same
     ) * (c.diff_same + c.diff_diff)
     return numer / denom
-
-
-def timing_harness(run: Callable[[], T]) -> tuple[T, float]:
-    """Run a deferred computation and return (result, wall seconds).
-
-    Uses a monotonic clock; time spent preparing inputs before the call is
-    not counted.
-    """
-    start = time.perf_counter()
-    result = run()
-    return result, time.perf_counter() - start

@@ -3,6 +3,7 @@ proportional seeding, deterministic under a supplied seed."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -96,11 +97,30 @@ class EngineSettings:
         check_count("n_init", self.n_init)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, minimum: int = 1) -> None:
     """Raise ValueError unless ``value`` is an integer >= ``minimum``. A bool
     is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+    if not _is_integer(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}")
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite real >= 0. A bool is not one."""
+    if isinstance(value, bool) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0")
+
+
+def check_k(k, n: int | None = None) -> None:
+    """Raise ValueError unless ``k`` is an integer (a bool is not one), and
+    InfeasibleError unless k >= 1 and, for centers chosen from ``n`` rows, k <= n."""
+    if not _is_integer(k):
+        raise ValueError("k must be an integer")
+    if k < 1 or (n is not None and k > n):
+        raise InfeasibleError(f"need 1 <= k <= n rows, got k={k}, n={n}")
 
 
 def _as_data(data) -> np.ndarray:
@@ -181,10 +201,7 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
     """
     data = _as_data(data)
     n = data.shape[0]
-    if k < 1:
-        raise InfeasibleError("k must be >= 1")
-    if k > n:
-        raise InfeasibleError(f"cannot choose k={k} centers from {n} rows")
+    check_k(k, n)
     rng = np.random.default_rng(seed)
 
     chosen = np.empty(k, dtype=np.int64)
@@ -242,6 +259,7 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
     a distinct row. Deterministic.
     """
     data = _as_data(data)
+    check_k(k)
     labels = a.labels
     if len(a) != data.shape[0]:
         raise ShapeMismatchError(f"{len(a)} labels for {data.shape[0]} rows")
@@ -298,11 +316,8 @@ def lloyd(data, k: int, seed=None, max_iter: int = 100, tol: float = 1e-6,
     Deterministic given ``seed``.
     """
     data = _as_data(data)
-    n = data.shape[0]
-    if k < 1 or k > n:
-        raise InfeasibleError(f"need 1 <= k <= n rows, got k={k}, n={n}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    check_k(k, data.shape[0])
+    EngineSettings(max_iter=max_iter, tol=tol, n_init=n_init)  # checks them
     if init is not None:
         if init.k != k or init.n_features != data.shape[1]:
             raise ShapeMismatchError(

@@ -166,9 +166,10 @@ def standardize(x: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
 
     Raises :class:`InfeasibleError` naming the first column whose mean or
     standard deviation overflows: dividing by it would turn the column into
-    zeros without a sign that anything went wrong.
+    zeros without a sign that anything went wrong. It raises no numpy warning.
     """
-    stats = column_stats(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = column_stats(x)
     overflowed = np.flatnonzero(~(np.isfinite(stats.means) & np.isfinite(stats.std_devs)))
     if overflowed.size:
         raise InfeasibleError(

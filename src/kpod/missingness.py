@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, QuantileFallbackWarning
-from .kmeans import Assignment, check_count
+from .kmeans import Assignment, check_count, check_nonnegative
 from .masked import MaskedMatrix
 
 __all__ = [
@@ -68,7 +68,12 @@ class MechanismSpec:
         if self.kind is Mechanism.MAR:
             if not self.mar_columns:
                 raise ValueError("MAR requires a non-empty mar_columns")
-            object.__setattr__(self, "mar_columns", tuple(int(c) for c in self.mar_columns))
+            # JSON may write column 2 as 2.0; 1.5 and true name no column.
+            columns = [int(c) if isinstance(c, float) and c.is_integer() else c
+                       for c in self.mar_columns]
+            for c in columns:
+                check_count("mar_columns", c, minimum=0)
+            object.__setattr__(self, "mar_columns", tuple(int(c) for c in columns))
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,8 @@ class MixtureSpec:
             check_count(name, getattr(self, name))
         # noise_variance 0 is allowed: rows then equal their component mean
         # exactly, which is the useful degenerate case for recovery tests.
-        if not (self.center_sd >= 0 and self.noise_variance >= 0):
-            raise ValueError("center_sd and noise_variance must be nonnegative")
+        check_nonnegative("center_sd", self.center_sd)
+        check_nonnegative("noise_variance", self.noise_variance)
 
 
 def simulate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Assignment]:
@@ -112,8 +117,7 @@ def perturb_dataset(values, rel_sd: float, seed=None) -> np.ndarray:
     mean is zero receive no noise.
     """
     values = np.asarray(values, dtype=float)
-    if rel_sd < 0:
-        raise ValueError("rel_sd must be >= 0")
+    check_nonnegative("rel_sd", rel_sd)
     if rel_sd == 0:
         return values.copy()
     rng = np.random.default_rng(seed)
@@ -130,18 +134,11 @@ def _spread_counts(total: int, n_cols: int, rng: np.random.Generator) -> np.ndar
     return counts
 
 
-def _mask_mcar(shape: tuple[int, int], total: int, rng: np.random.Generator) -> np.ndarray:
-    n, p = shape
-    missing = np.zeros(n * p, dtype=bool)
-    missing[rng.choice(n * p, size=total, replace=False)] = True
-    return missing.reshape(n, p)
-
-
 def _mask_mar(shape: tuple[int, int], total: int, columns: tuple[int, ...],
               rng: np.random.Generator) -> np.ndarray:
     n, p = shape
     cols = np.asarray(sorted(set(columns)), dtype=np.int64)
-    if cols.size and (cols.min() < 0 or cols.max() >= p):
+    if cols.max() >= p:
         raise InfeasibleError(f"mar_columns out of range for p={p}")
     capacity = n * cols.size
     if total > capacity:
@@ -149,9 +146,10 @@ def _mask_mar(shape: tuple[int, int], total: int, columns: tuple[int, ...],
             f"target rate needs {total} missing cells but the {cols.size} "
             f"MAR columns only hold {capacity}"
         )
+    chosen = np.zeros((n, cols.size), dtype=bool)
+    chosen.reshape(-1)[rng.choice(capacity, size=total, replace=False)] = True
     missing = np.zeros(shape, dtype=bool)
-    flat = rng.choice(capacity, size=total, replace=False)
-    missing[flat // cols.size, cols[flat % cols.size]] = True
+    missing[:, cols] = chosen
     return missing
 
 
@@ -219,12 +217,12 @@ def ampute(values, spec: MechanismSpec) -> MaskedMatrix:
     total = int(round(spec.target_rate * n * p))
     total = min(max(total, 0), n * p - 1)
 
-    if spec.kind is Mechanism.MCAR:
-        missing = _mask_mcar((n, p), total, rng)
-    elif spec.kind is Mechanism.MAR:
-        missing = _mask_mar((n, p), total, spec.mar_columns, rng)
-    else:
+    if spec.kind is Mechanism.NMAR:
         missing = _mask_nmar(values, total, rng)
+    else:
+        # MCAR is MAR over every column: the same draw of flat cell indices.
+        columns = range(p) if spec.kind is Mechanism.MCAR else spec.mar_columns
+        missing = _mask_mar((n, p), total, columns, rng)
 
     missing = _keep_rows_and_columns_observed(missing, rng)
     return MaskedMatrix(values=values, observed=~missing)

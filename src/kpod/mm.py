@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRowError, InfeasibleError
-from .kmeans import Assignment, Centroids, EngineSettings, check_count, kmeans_objective, lloyd
+from .errors import DegenerateRowError
+from .kmeans import Assignment, Centroids, EngineSettings, check_count, check_k, kmeans_objective, lloyd
 from .masked import MaskedMatrix, column_stats, fill_unobserved
 
 __all__ = ["KPodConfig", "KPodResult", "init_fill", "majorization_value", "kpod_fit"]
@@ -80,10 +80,9 @@ def majorization_value(x: MaskedMatrix, a: Assignment, b: Centroids,
 
 
 def validate_clusterable(x: MaskedMatrix, k: int) -> None:
-    """Reject inputs no clustering run can use: k > n, or a row with no
-    observed entries. Column degeneracy is caught by the column statistics."""
-    if k < 1 or k > x.n_rows:
-        raise InfeasibleError(f"need 1 <= k <= n rows, got k={k}, n={x.n_rows}")
+    """Reject inputs no clustering run can use: a k outside [1, n], or a row
+    with no observed entries. Column degeneracy is caught by the column statistics."""
+    check_k(k, x.n_rows)
     empty_rows = np.flatnonzero(x.row_observed_counts() == 0)
     if empty_rows.size:
         raise DegenerateRowError(int(empty_rows[0]))

@@ -1,10 +1,12 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from kpod import (
     FileDataset,
     KPodError,
-    MaskedMatrix,
     Mechanism,
     MechanismSpec,
     MixtureSpec,
@@ -14,10 +16,10 @@ from kpod import (
     dataset_for_trial,
     derive_seed,
     run_benchmark,
-    write_masked_csv,
     write_report,
 )
 from kpod.benchmark import summary_path_for
+from kpod.cli import cli
 
 
 def tiny_grid(**overrides):
@@ -108,13 +110,26 @@ class TestRunner:
         assert all(r.status == "ok" for r in rows)
         assert all(r.rand == 1.0 for r in rows)  # trivially separable pair
 
-    def test_file_dataset_requires_labels(self, tmp_path):
-        x = MaskedMatrix(values=np.ones((4, 2)), observed=np.ones((4, 2), bool))
-        path = tmp_path / "pop.csv"
-        write_masked_csv(x, path)
-        grid = tiny_grid(dataset=FileDataset(path=str(path)), trials=1)
-        with pytest.raises(KPodError):
-            run_benchmark(grid, workers=1)
+    def test_file_dataset_requires_labels(self):
+        # Runs are scored against the true classes, so a population without
+        # them is rejected when it is built, before any run.
+        with pytest.raises(TypeError):
+            FileDataset(path="pop.csv")
+        with pytest.raises(ValueError, match="label_column"):
+            FileDataset(path="pop.csv", label_column=None)
+
+    def test_unstandardizable_trial_gives_error_rows(self):
+        # Squared deviations near 1e200 overflow, so standardize raises for
+        # every trial; the campaign reports that per method and goes on.
+        grid = tiny_grid(dataset=MixtureSpec(n=40, p=6, k=3, center_sd=1e200), trials=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_benchmark(grid, workers=1)
+        assert [(r.trial, r.method) for r in rows] == [
+            (t, m) for t in range(2) for m in ("kpod", "mean_impute", "delete")]
+        assert all(r.status == "error:InfeasibleError" and r.rand is None
+                   and r.seconds is None for r in rows)
+        assert run_benchmark(grid, workers=2) == rows
 
     def test_perturbation_changes_data_per_trial(self):
         grid = tiny_grid(perturb_rel_sd=0.1, trials=2, methods=("kpod",))
@@ -191,6 +206,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("overrides", [
         dict(mm_tol=0.0), dict(mm_tol=float("nan")),
         dict(perturb_rel_sd=-0.1), dict(perturb_rel_sd=float("nan")),
+        dict(perturb_rel_sd=float("inf")), dict(perturb_rel_sd=True),
         dict(standardize="false"), dict(standardize=0),
     ], ids=str)
     def test_bad_values_rejected_when_built(self, overrides):
@@ -201,6 +217,37 @@ class TestConfigParsing:
         for bad in (dict(center_sd=float("nan")), dict(noise_variance=float("nan"))):
             with pytest.raises(ValueError):
                 MixtureSpec(n=10, p=2, k=2, **bad)
+
+    @pytest.mark.parametrize("key", [
+        "k", "mechanisms", "rates", "trials", "base_seed", "mixture.n", "mixture.p", "mixture.k",
+        "dataset.path", "dataset.label_column", "top-level array",
+    ])
+    def test_malformed_config_is_an_error_not_a_traceback(self, key, tmp_path, capsys):
+        raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "k": 2, "mechanisms": ["mcar"],
+               "rates": [0.25], "trials": 1, "base_seed": 9}
+        section, _, field = key.rpartition(".")
+        if section == "dataset":
+            raw.pop("mixture")
+            raw["dataset"] = {"path": "pop.csv", "label_column": "class"}
+        if key == "top-level array":
+            raw, field = [raw], "JSON object"
+        else:
+            (raw[section] if section else raw).pop(field)
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(raw))
+        code = cli(["benchmark", "--config", str(config), "--output", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("key", ["rates", "methods", "mechanisms"])
+    def test_empty_lists_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must not be empty"):
+            tiny_grid(**{key: ()})
+        raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "k": 2, "mechanisms": ["mcar"],
+               "rates": [0.25], "trials": 1, "base_seed": 9, key: []}
+        with pytest.raises(ValueError, match=f"{key} must not be empty"):
+            ScenarioGrid.from_dict(raw)
 
     def test_needs_dataset_section(self):
         with pytest.raises(KPodError):
@@ -257,6 +304,19 @@ class TestReportWriting:
         for written in (path, summary_path_for(path)):
             header, line = written.read_text().splitlines()
             assert dict(zip(header.split(","), line.split(",")))["target_rate"] == "0.2"
+
+    def test_headers_are_the_row_fields_in_order(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report([self.make_row()], path)
+        assert path.read_text().splitlines()[0].split(",") == [
+            "mechanism", "target_rate", "achieved_rate", "method", "trial",
+            "rand", "adjusted_rand", "seconds", "mm_iterations", "status",
+        ]
+        assert summary_path_for(path).read_text().splitlines()[0].split(",") == [
+            "mechanism", "target_rate", "method", "count",
+            "rand_mean", "rand_se", "adjusted_rand_mean", "adjusted_rand_se",
+            "seconds_mean", "seconds_se",
+        ]
 
     def test_none_cells_written_empty(self, tmp_path):
         path = tmp_path / "report.csv"

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +9,6 @@ from kpod import (
     adjusted_rand_index,
     pair_counts,
     rand_index,
-    timing_harness,
 )
 
 
@@ -122,20 +119,3 @@ class TestAdjustedRand:
         b = rng.integers(0, 5, 2000)
         assert abs(adjusted_rand_index(a, b)) < 0.05
 
-
-class TestTiming:
-    def test_noop_is_fast_and_returns_result(self):
-        result, seconds = timing_harness(lambda: 42)
-        assert result == 42
-        assert 0.0 <= seconds < 0.1
-
-    def test_sleep_duration_measured(self):
-        _, seconds = timing_harness(lambda: time.sleep(0.05))
-        assert 0.05 <= seconds < 0.3
-
-    def test_nested_timings_contained(self):
-        def inner_then_report():
-            return timing_harness(lambda: time.sleep(0.02))[1]
-
-        inner, outer = timing_harness(inner_then_report)
-        assert outer >= inner

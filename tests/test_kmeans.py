@@ -10,14 +10,18 @@ from kpod import (
     Centroids,
     DuplicateCentersWarning,
     InfeasibleError,
+    MaskedMatrix,
     ShapeMismatchError,
     assign_step,
+    delete_cluster,
     kmeans_objective,
     kmeanspp_init,
     lloyd,
+    mean_impute_cluster,
     update_step,
 )
 from kpod.kmeans import _BLOCK_ROWS, _sq_dists
+from kpod.mm import validate_clusterable
 
 # Cases for the exact-oracle properties: a layout of rows and centers, then a
 # scale. Small integers give exact ties and duplicate rows; midpoints between
@@ -332,6 +336,25 @@ class TestLloyd:
             lloyd(np.ones((3, 1)), 4, seed=0)
         with pytest.raises(InfeasibleError):
             lloyd(np.ones((3, 1)), 0, seed=0)
+
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0)], ids=repr)
+    def test_k_must_be_an_integer(self, bad):
+        data = np.arange(12.0).reshape(6, 2)
+        x = MaskedMatrix(values=data, observed=np.ones(data.shape, bool))
+        for call in (lambda: lloyd(data, bad), lambda: kmeanspp_init(data, bad),
+                     lambda: update_step(data, Assignment(labels=[0] * 6), bad),
+                     lambda: validate_clusterable(x, bad), lambda: mean_impute_cluster(x, bad),
+                     lambda: delete_cluster(x, bad)):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("settings_", [
+        dict(n_init=0), dict(n_init=2.0), dict(tol=float("nan")), dict(tol=0.0),
+        dict(max_iter=2.5), dict(max_iter=0),
+    ], ids=str)
+    def test_engine_arguments_checked(self, settings_):
+        with pytest.raises(ValueError):
+            lloyd(np.arange(12.0).reshape(6, 2), 3, seed=0, **settings_)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(81)

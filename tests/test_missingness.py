@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kpod import (
     InfeasibleError,
@@ -11,6 +12,9 @@ from kpod import (
     perturb_dataset,
     simulate_mixture,
 )
+from kpod.missingness import _keep_rows_and_columns_observed
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 class TestSpecs:
@@ -36,6 +40,23 @@ class TestSpecs:
             MixtureSpec(n=0, p=3, k=1)
         with pytest.raises(ValueError):
             MixtureSpec(n=5, p=3, k=1, noise_variance=-1.0)
+
+    @pytest.mark.parametrize("bad", [*NON_FINITE, True], ids=repr)
+    def test_spreads_must_be_finite(self, bad):
+        for field in ("center_sd", "noise_variance"):
+            with pytest.raises(ValueError, match=field):
+                MixtureSpec(n=5, p=3, k=1, **{field: bad})
+        with pytest.raises(ValueError, match="rel_sd"):
+            perturb_dataset(np.ones((2, 2)), bad)
+
+    @pytest.mark.parametrize("bad", [1.5, True, -1, *NON_FINITE, "1"], ids=repr)
+    def test_mar_columns_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="mar_columns"):
+            MechanismSpec(kind=Mechanism.MAR, target_rate=0.2, mar_columns=(0, bad))
+
+    def test_integral_mar_columns_read_as_ints(self):
+        spec = MechanismSpec(kind=Mechanism.MAR, target_rate=0.2, mar_columns=[2.0, np.int64(0)])
+        assert spec.mar_columns == (2, 0) and all(type(c) is int for c in spec.mar_columns)
 
 
 class TestSimulateMixture:
@@ -145,6 +166,31 @@ class TestAmputeMcar:
     def test_incomplete_input_rejected(self):
         with pytest.raises(InfeasibleError):
             ampute(np.array([[1.0, np.nan]]), MechanismSpec(kind=Mechanism.MCAR, target_rate=0.3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 40), st.integers(1, 12), st.floats(0.01, 0.99),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**12 - 1))
+def test_mcar_and_mar_masks_match_flat_cell_draw(n, p, rate, seed, subset):
+    # MCAR hides one sample of flat cell indices of the whole matrix, MAR one
+    # of the cells of its columns; the masks must stay bit-identical to these
+    # reference draws. An empty column subset stands for MCAR.
+    cols = np.array([j for j in range(p) if subset >> j & 1], dtype=np.int64)
+    total = min(int(round(rate * n * p)), n * p - 1)
+    assume(total <= n * (cols.size or p))
+    rng = np.random.default_rng(seed)
+    if cols.size:
+        flat = rng.choice(n * cols.size, size=total, replace=False)
+        missing = np.zeros((n, p), dtype=bool)
+        missing[flat // cols.size, cols[flat % cols.size]] = True
+    else:
+        missing = np.zeros(n * p, dtype=bool)
+        missing[rng.choice(n * p, size=total, replace=False)] = True
+        missing = missing.reshape(n, p)
+    want = ~_keep_rows_and_columns_observed(missing, rng)
+    spec = MechanismSpec(kind=Mechanism.MAR if cols.size else Mechanism.MCAR, target_rate=rate,
+                         mar_columns=tuple(cols) or None, seed=seed)
+    assert np.array_equal(ampute(np.zeros((n, p)), spec).observed, want)
 
 
 class TestAmputeMar:
