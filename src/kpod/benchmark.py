@@ -64,6 +64,23 @@ def _count(value):
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
+def _number(value, key: str) -> float:
+    """A real number read from JSON. A bool, string, null or container is a
+    KPodError naming ``key``, not a float() of it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise KPodError(f"config key {key!r} must be a JSON number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the largest float
+        raise KPodError(f"config key {key!r} is too large") from None
+
+
+def _no_more_keys(section: dict, where: str) -> None:
+    """Reject what is left of ``section`` once its known keys were taken."""
+    if section:
+        raise KPodError(f"unknown {where} keys: {sorted(section)}")
+
+
 def _object(value, where: str) -> dict:
     """A copy of a JSON object of the config; anything else is a KPodError."""
     if not isinstance(value, dict):
@@ -132,16 +149,19 @@ class ScenarioGrid:
             m = _object(raw.pop("mixture"), "mixture")
             dataset = MixtureSpec(
                 **{key: _count(_required(m, key, "mixture")) for key in ("n", "p", "k")},
-                center_sd=float(m.get("center_sd", MixtureSpec.center_sd)),
-                noise_variance=float(m.get("noise_variance", MixtureSpec.noise_variance)),
+                center_sd=_number(m.pop("center_sd", MixtureSpec.center_sd), "center_sd"),
+                noise_variance=_number(m.pop("noise_variance", MixtureSpec.noise_variance),
+                                       "noise_variance"),
             )
+            _no_more_keys(m, "mixture")
         elif "dataset" in raw:
             d = _object(raw.pop("dataset"), "dataset")
             dataset = FileDataset(
                 path=str(_required(d, "path", "dataset")),
                 label_column=_required(d, "label_column", "dataset"),
-                missing_token=str(d.get("missing_token", FileDataset.missing_token)),
+                missing_token=str(d.pop("missing_token", FileDataset.missing_token)),
             )
+            _no_more_keys(d, "dataset")
         else:
             raise KPodError("config needs either a 'mixture' or a 'dataset' section")
 
@@ -157,25 +177,24 @@ class ScenarioGrid:
 
         engine = EngineSettings(
             max_iter=_count(raw.pop("inner_max_iter", EngineSettings.max_iter)),
-            tol=float(raw.pop("inner_tol", EngineSettings.tol)),
+            tol=_number(raw.pop("inner_tol", EngineSettings.tol), "inner_tol"),
             n_init=_count(raw.pop("n_init", EngineSettings.n_init)),
         )
         grid = cls(
             dataset=dataset,
             k=_count(_required(raw, "k")),
             mechanisms=tuple(mechanisms),
-            rates=tuple(float(r) for r in _array(raw, "rates")),
+            rates=tuple(_number(r, "rates") for r in _array(raw, "rates")),
             methods=tuple(str(m) for m in _array(raw, "methods", METHODS)),
             trials=_count(_required(raw, "trials")),
             base_seed=_count(_required(raw, "base_seed")),
             standardize=raw.pop("standardize", cls.standardize),
-            perturb_rel_sd=float(raw.pop("perturb_rel_sd", cls.perturb_rel_sd)),
+            perturb_rel_sd=_number(raw.pop("perturb_rel_sd", cls.perturb_rel_sd), "perturb_rel_sd"),
             engine=engine,
             max_mm_iter=_count(raw.pop("max_mm_iter", cls.max_mm_iter)),
-            mm_tol=float(raw.pop("mm_tol", cls.mm_tol)),
+            mm_tol=_number(raw.pop("mm_tol", cls.mm_tol), "mm_tol"),
         )
-        if raw:
-            raise KPodError(f"unknown config keys: {sorted(raw)}")
+        _no_more_keys(raw, "config")
         return grid
 
     @classmethod

@@ -21,6 +21,7 @@ __all__ = [
     "assign_step",
     "update_step",
     "lloyd",
+    "RowBounds",
 ]
 
 
@@ -145,7 +146,7 @@ def _sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _gemm_argmin(block: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gemm_argmin(block: np.ndarray, centers: np.ndarray):
     """Nearest-center labels of ``block`` by GEMM, and the rows GEMM cannot decide.
 
     GEMM gives |c|^2 - 2x.c, the squared distance less |x|^2, which moves no
@@ -158,18 +159,125 @@ def _gemm_argmin(block: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np
     inf that only the index breaks. Adding the smallest normal number to s
     covers the absolute error of gradual underflow. Overflow here is expected
     and handled, so it raises no warning.
+
+    Also returns, for :class:`RowBounds`, the two smallest GEMM values, |x|^2
+    and that margin bound: ``value + |x|^2`` errs from the true squared
+    distance by far less than the bound.
     """
     c_sq = np.einsum("kp,kp->k", centers, centers)
     dists = block @ (-2.0 * centers.T)
     dists += c_sq
     best = np.argmin(dists, axis=1)
     rows = np.arange(block.shape[0])
-    margin = -dists[rows, best]
+    nearest = dists[rows, best]
     dists[rows, best] = np.inf
-    margin += dists.min(axis=1)
-    scale = np.einsum("ij,ij->i", block, block) + (c_sq.max() + np.finfo(float).tiny)
+    second = dists.min(axis=1)
+    margin = second - nearest
+    x_sq = np.einsum("ij,ij->i", block, block)
+    scale = x_sq + (c_sq.max() + np.finfo(float).tiny)
     bound = (4 * scale) * (2 * (centers.shape[1] + 4) * np.finfo(float).eps)
-    return best, np.flatnonzero(~((margin > bound) & (margin < np.inf)))
+    unsure = np.flatnonzero(~((margin > bound) & (margin < np.inf)))
+    return best, unsure, (nearest, second, x_sq, bound)
+
+
+def _block_labels(block: np.ndarray, centers: np.ndarray):
+    """:func:`_gemm_argmin`, with its unsure rows decided by the exact path."""
+    best, unsure, gemm = _gemm_argmin(block, centers)
+    if unsure.size:
+        best[unsure] = np.argmin(_sq_dists(block[unsure], centers), axis=1)
+    return best, unsure, gemm
+
+
+_EPS = np.finfo(float).eps
+# A distance whose square is the smallest normal number, and one whose square
+# is a quarter of the largest float.
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+_SQRT_HUGE = math.sqrt(np.finfo(float).max) / 2
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _distance_up(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between ``a`` and ``b`` along their last axis,
+    rounded up so that none is below the exact distance. The differences
+    and the sum of their squares err by at most (p + 2) eps / 2 relative,
+    and by p times half the smallest subnormal where squares underflow, whose
+    root is below sqrt(p) 2^-537."""
+    diff = a - b
+    p = diff.shape[-1]
+    norms = np.sqrt(np.einsum("...p,...p->...", diff, diff))
+    return norms * (1 + (p + 4) * _EPS) + math.sqrt(p) * 2.0**-536
+
+
+class RowBounds:
+    """Hamerly bounds that let a warm Lloyd sweep skip rows whose label cannot change.
+
+    For each row, ``upper`` bounds its distance to center ``labels[row]``
+    from above and ``lower`` its distance to every other center from below;
+    rows start with no bounds. A row with ``upper (1 + g) + sqrt(tiny) <
+    lower (1 - g)``, where g = (p + 4) eps covers the rounding of
+    :func:`_sq_dists` over p columns, has a strictly smallest exact squared
+    distance at its own center, so :func:`assign_step` would give it its
+    current label; the margin sqrt(tiny) covers underflow, and an ``upper``
+    whose square could overflow decides nothing.
+
+    Rows that do go through the GEMM path get new bounds from its values,
+    widened by its error bound; rows the exact path rechecks get none. When
+    centers or rows move, the bounds loosen by how far, rounded outward, so
+    they stay valid. One instance follows the rows of one matrix across the
+    warm solves of a k-POD fit, through ``lloyd(..., bounds=...)``.
+    """
+
+    def __init__(self, n: int):
+        self.labels = np.zeros(n, dtype=np.int64)
+        self.upper = np.full(n, np.inf)
+        self.lower = np.full(n, -np.inf)
+
+    def undecided(self, p: int) -> np.ndarray:
+        """The rows whose bounds do not prove their label."""
+        g = (p + 4) * _EPS
+        with np.errstate(over="ignore", invalid="ignore"):
+            proven = self.upper * (1 + g) + _SQRT_TINY < self.lower * (1 - g)
+        return np.flatnonzero(~(proven & (self.upper < _SQRT_HUGE)))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def record(self, rows: np.ndarray, labels: np.ndarray, unsure: np.ndarray, gemm) -> None:
+        """Set the labels of ``rows`` and their bounds from the values of
+        :func:`_gemm_argmin`; the ``unsure`` ones get no bounds."""
+        nearest, second, x_sq, bound = gemm
+        self.labels[rows] = labels
+        upper = np.sqrt(nearest + x_sq + bound) * (1 + 2 * _EPS)
+        lower = np.sqrt(np.maximum(second + x_sq - bound, 0.0)) * (1 - 2 * _EPS)
+        upper[unsure] = np.inf
+        lower[unsure] = -np.inf
+        self.upper[rows] = upper
+        self.lower[rows] = lower
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def loosen(self, grow, shrink) -> None:
+        """Raise each upper bound by ``grow`` and lower each lower bound by
+        ``shrink``, rounding outward."""
+        self.upper += grow
+        self.upper *= 1 + 2 * _EPS
+        self.lower -= shrink
+        self.lower *= 1 - 2 * _EPS
+
+    def centers_moved(self, old: Centroids, new: Centroids) -> None:
+        """Keep the bounds valid after the centers moved from ``old`` to ``new``."""
+        shift = _distance_up(new.centers, old.centers)
+        self.loosen(shift[self.labels], shift.max())
+
+    def refilled(self, new: KMeansResult, old: KMeansResult) -> None:
+        """Keep the bounds valid after each row's unobserved cells, filled from
+        its center in ``old``, were refilled from its center in ``new``.
+
+        A row moves only on those cells, so by at most the distance between
+        its two fill centers, read from a table over all center pairs."""
+        a, b = new.centroids.centers, old.centroids.centers
+        # By blocks of new centers, so temporaries stay within _BLOCK_ROWS * k * p.
+        table = np.concatenate([_distance_up(a[start:start + _BLOCK_ROWS, None, :], b)
+                                for start in range(0, len(a), _BLOCK_ROWS)])
+        move = table[new.assignment.labels, old.assignment.labels]
+        self.loosen(move, move)
 
 
 def kmeans_objective(data, a: Assignment, b: Centroids) -> float:
@@ -231,24 +339,34 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
     return Centroids(centers=data[chosen].copy())
 
 
-def assign_step(data, b: Centroids) -> Assignment:
+def assign_step(data, b: Centroids, bounds: RowBounds | None = None) -> Assignment:
     """Assign each row to its nearest center (squared Euclidean distance).
 
-    Ties go to the lowest cluster index.
+    Ties go to the lowest cluster index. With ``bounds``, the state of a warm
+    solve, rows whose bounds prove their label keep it with no distance work,
+    the rest are assigned and get new bounds, and ``bounds`` holds the
+    result; the labels are the same as without.
     """
     data = _as_data(data)
     if b.n_features != data.shape[1]:
         raise ShapeMismatchError(
             f"centers have {b.n_features} features, data has {data.shape[1]}"
         )
-    labels = np.empty(data.shape[0], dtype=np.int64)
-    for start in range(0, data.shape[0], _BLOCK_ROWS):
-        block = data[start:start + _BLOCK_ROWS]
-        best, unsure = _gemm_argmin(block, b.centers)
-        if unsure.size:
-            best[unsure] = np.argmin(_sq_dists(block[unsure], b.centers), axis=1)
-        labels[start:start + _BLOCK_ROWS] = best
-    return Assignment(labels=labels)
+    if bounds is None:
+        labels = np.empty(data.shape[0], dtype=np.int64)
+        for start in range(0, data.shape[0], _BLOCK_ROWS):
+            block = data[start:start + _BLOCK_ROWS]
+            labels[start:start + _BLOCK_ROWS] = _block_labels(block, b.centers)[0]
+        return Assignment(labels=labels)
+    if bounds.labels.shape != (data.shape[0],):
+        raise ShapeMismatchError(f"bounds for {len(bounds.labels)} rows, data has {data.shape[0]}")
+    # Blocks of undecided rows, never one gather of them all: that would copy
+    # most of the data on the first sweeps.
+    undecided = bounds.undecided(data.shape[1])
+    for start in range(0, undecided.size, _BLOCK_ROWS):
+        rows = undecided[start:start + _BLOCK_ROWS]
+        bounds.record(rows, *_block_labels(data[rows], b.centers))
+    return Assignment(labels=bounds.labels)
 
 
 def update_step(data, a: Assignment, k: int) -> Centroids:
@@ -283,21 +401,26 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
     return Centroids(centers=centers)
 
 
-def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, tol: float) -> KMeansResult:
+def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, tol: float,
+                  bounds: RowBounds | None = None) -> KMeansResult:
     assignment = None
     obj = np.inf
     converged = False
     for iterations in range(1, max_iter + 1):
-        previous, prev_obj = assignment, obj
-        assignment = assign_step(data, centers)
+        labels = assign_step(data, centers, bounds=bounds)
+        # The data is the same within a solve, so when the labels repeat, the
+        # update and the objective would repeat the current ones bit for bit.
+        if assignment is not None and np.array_equal(labels.labels, assignment.labels):
+            converged = True
+            break
+        assignment, previous = labels, centers
         centers = update_step(data, assignment, k)
-        obj = kmeans_objective(data, assignment, centers)
+        if bounds is not None:
+            bounds.centers_moved(previous, centers)
+        prev_obj, obj = obj, kmeans_objective(data, assignment, centers)
         # The first sweep never stops: it has nothing to compare against. A
         # non-finite previous objective makes the relative decrease NaN.
-        if previous is not None and (
-            np.array_equal(assignment.labels, previous.labels)
-            or prev_obj == 0 or (prev_obj - obj) / prev_obj < tol
-        ):
+        if iterations > 1 and (prev_obj == 0 or (prev_obj - obj) / prev_obj < tol):
             converged = True
             break
     return KMeansResult(assignment=assignment, centroids=centers, objective=obj,
@@ -305,15 +428,20 @@ def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, t
 
 
 def lloyd(data, k: int, seed=None, max_iter: int = 100, tol: float = 1e-6,
-          n_init: int = 1, init: Centroids | None = None) -> KMeansResult:
+          n_init: int = 1, init: Centroids | None = None,
+          bounds: RowBounds | None = None) -> KMeansResult:
     """Run Lloyd's method to a local optimum of the within-cluster sum of squares.
 
     Stops when the assignment repeats, when the relative objective decrease
-    drops below ``tol``, or after ``max_iter`` sweeps. The objective is
-    non-increasing across sweeps. With ``init=None``, centers come from
-    ``n_init`` distance-squared seedings and the best final objective wins;
-    with an explicit ``init`` a single warm-started run is performed.
-    Deterministic given ``seed``.
+    drops below ``tol``, or after ``max_iter`` sweeps. A repeated assignment
+    stops the sweep before its update: the result is the previous sweep's
+    centers and objective, which that update would reproduce bit for bit.
+    The objective is non-increasing across sweeps. With ``init=None``,
+    centers come from ``n_init`` distance-squared seedings and the best
+    final objective wins; with an explicit ``init`` a single warm-started run
+    is performed, and ``bounds`` (a :class:`RowBounds` for the rows of
+    ``data``, updated in place) lets its sweeps skip rows whose label cannot
+    change, with the same result. Deterministic given ``seed``.
     """
     data = _as_data(data)
     check_k(k, data.shape[0])
@@ -323,7 +451,9 @@ def lloyd(data, k: int, seed=None, max_iter: int = 100, tol: float = 1e-6,
             raise ShapeMismatchError(
                 f"init centers shape {init.centers.shape} incompatible with k={k}, p={data.shape[1]}"
             )
-        return _lloyd_single(data, k, init, max_iter, tol)
+        return _lloyd_single(data, k, init, max_iter, tol, bounds)
+    if bounds is not None:
+        raise ValueError("bounds apply only to a warm start from init")
 
     rng = np.random.default_rng(seed)
     best: KMeansResult | None = None

@@ -20,6 +20,7 @@ __all__ = [
     "project_observed",
     "fill_unobserved",
     "column_stats",
+    "observed_means",
     "standardize",
 ]
 
@@ -137,8 +138,8 @@ def fill_unobserved(x: MaskedMatrix, source) -> np.ndarray:
     return np.where(x.observed, x.values, source)
 
 
-def column_stats(x: MaskedMatrix) -> ColumnStats:
-    """Observed-entry column means and sample standard deviations.
+def observed_means(x: MaskedMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Observed-entry column means and observed counts.
 
     Raises :class:`DegenerateColumnError` for any column with no observed
     entries, naming the first offending column.
@@ -148,7 +149,16 @@ def column_stats(x: MaskedMatrix) -> ColumnStats:
     if empty.size:
         raise DegenerateColumnError(int(empty[0]))
     # Unobserved cells are stored as 0.0, so plain column sums are masked sums.
-    means = x.values.sum(axis=0) / counts
+    return x.values.sum(axis=0) / counts, counts
+
+
+def column_stats(x: MaskedMatrix) -> ColumnStats:
+    """Observed-entry column means and sample standard deviations.
+
+    Raises :class:`DegenerateColumnError` for any column with no observed
+    entries, naming the first offending column.
+    """
+    means, counts = observed_means(x)
     centered = (x.values - means) * x.observed
     ssq = np.sum(centered * centered, axis=0)
     std_devs = np.sqrt(ssq / np.maximum(counts - 1, 1))

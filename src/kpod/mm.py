@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRowError
-from .kmeans import Assignment, Centroids, EngineSettings, check_count, check_k, kmeans_objective, lloyd
-from .masked import MaskedMatrix, column_stats, fill_unobserved
+from .kmeans import (Assignment, Centroids, EngineSettings, KMeansResult, RowBounds, check_count,
+                     check_k, kmeans_objective, lloyd)
+from .masked import MaskedMatrix, fill_unobserved, observed_means
 
 __all__ = ["KPodConfig", "KPodResult", "init_fill", "majorization_value", "kpod_fit"]
 
@@ -47,7 +48,9 @@ class KPodResult:
     complete-data solve). Off the mask that matrix equals the model, so the
     value is the iterate's observed-entry squared error, and the trace is
     non-increasing. ``fitted_fill`` is the last such matrix: the input with
-    every unobserved cell replaced by its assigned center's value.
+    every unobserved cell replaced by its assigned center's value. The fit
+    refills that one matrix in place each round, so it is the array every
+    round's solve ran on, and the fit keeps no other.
     """
 
     assignment: Assignment
@@ -60,8 +63,8 @@ class KPodResult:
 
 def init_fill(x: MaskedMatrix) -> np.ndarray:
     """Fill unobserved cells with their column's observed mean."""
-    stats = column_stats(x)
-    return np.where(x.observed, x.values, stats.means)
+    means, _ = observed_means(x)
+    return np.where(x.observed, x.values, means)
 
 
 def majorization_value(x: MaskedMatrix, a: Assignment, b: Centroids,
@@ -99,24 +102,30 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     """
     validate_clusterable(x, cfg.k)
 
+    filled = init_fill(x)
     result = lloyd(
-        init_fill(x), cfg.k, seed=cfg.seed,
+        filled, cfg.k, seed=cfg.seed,
         max_iter=cfg.inner.max_iter, tol=cfg.inner.tol, n_init=cfg.inner.n_init,
     )
+    # Rounds differ only in the unobserved cells: refill those, in place.
+    unobserved = np.flatnonzero(~x.observed)
+    _refill(filled, unobserved, result)
     # Off the mask a fill equals the model, so the k-means objective of the
     # filled matrix is the observed-entry objective, bit for bit.
-    filled = fill_unobserved(x, result.centroids.centers[result.assignment.labels])
     trace = [kmeans_objective(filled, result.assignment, result.centroids)]
+    bounds = RowBounds(x.n_rows)
 
     # Complete data has no unobserved cells: the fill is the identity and the
     # initial solve is already the answer, so no round runs.
     converged = x.complete()
     while not converged and len(trace) <= cfg.max_mm_iter:
+        filled_from = result
         result = lloyd(
             filled, cfg.k, init=result.centroids,
-            max_iter=cfg.inner.max_iter, tol=cfg.inner.tol,
+            max_iter=cfg.inner.max_iter, tol=cfg.inner.tol, bounds=bounds,
         )
-        filled = fill_unobserved(x, result.centroids.centers[result.assignment.labels])
+        _refill(filled, unobserved, result)
+        bounds.refilled(result, filled_from)
         trace.append(kmeans_objective(filled, result.assignment, result.centroids))
         prev, cur = trace[-2:]
         # Labels alone going quiet is not enough to stop: centers keep
@@ -133,3 +142,10 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
         converged=converged,
         fitted_fill=filled,
     )
+
+
+def _refill(filled: np.ndarray, unobserved: np.ndarray, result: KMeansResult) -> None:
+    """Write each row's assigned center into its ``unobserved`` cells (flat
+    indices) of ``filled``: the bytes of :func:`fill_unobserved`, in place."""
+    model = result.centroids.centers[result.assignment.labels]
+    np.put(filled, unobserved, model.ravel()[unobserved])

@@ -240,6 +240,37 @@ class TestConfigParsing:
         assert code == 1
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("key, bad", [
+        ("rates", [None]), ("rates", [True]), ("rates", ["0.2"]), ("rates", [[0.2]]),
+        ("mm_tol", None), ("mm_tol", "1e-6"), ("mm_tol", True),
+        ("inner_tol", None), ("inner_tol", [1e-6]),
+        ("perturb_rel_sd", "0.1"), ("perturb_rel_sd", False),
+        ("mixture.center_sd", None), ("mixture.center_sd", "10"),
+        ("mixture.noise_variance", True), ("mixture.noise_variance", {}),
+        ("mm_tol", 10**400),
+    ], ids=str)
+    def test_a_number_of_another_json_type_is_an_error(self, key, bad, tmp_path, capsys):
+        raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "k": 2, "mechanisms": ["mcar"],
+               "rates": [0.25], "trials": 1, "base_seed": 9}
+        section, _, field = key.rpartition(".")
+        (raw[section] if section else raw)[field] = bad
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(raw))
+        code = cli(["benchmark", "--config", str(config), "--output", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("section, body", [
+        ("mixture", {"n": 20, "p": 4, "k": 2, "centre_sd": 1e9}),
+        ("dataset", {"path": "pop.csv", "label_column": "class", "missing-token": "?"}),
+    ])
+    def test_unknown_keys_inside_a_section_rejected(self, section, body):
+        raw = {section: body, "k": 2, "mechanisms": ["mcar"], "rates": [0.25],
+               "trials": 1, "base_seed": 9}
+        with pytest.raises(KPodError, match=f"unknown {section} keys.*{list(body)[-1]}"):
+            ScenarioGrid.from_dict(raw)
+
     @pytest.mark.parametrize("key", ["rates", "methods", "mechanisms"])
     def test_empty_lists_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key} must not be empty"):

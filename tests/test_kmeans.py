@@ -10,6 +10,7 @@ from kpod import (
     Centroids,
     DuplicateCentersWarning,
     InfeasibleError,
+    KMeansResult,
     MaskedMatrix,
     ShapeMismatchError,
     assign_step,
@@ -20,7 +21,7 @@ from kpod import (
     mean_impute_cluster,
     update_step,
 )
-from kpod.kmeans import _BLOCK_ROWS, _sq_dists
+from kpod.kmeans import _BLOCK_ROWS, RowBounds, _sq_dists
 from kpod.mm import validate_clusterable
 
 # Cases for the exact-oracle properties: a layout of rows and centers, then a
@@ -231,6 +232,106 @@ class TestAssign:
         with np.errstate(over="ignore"):
             assert np.isinf(_sq_dists(data, b.centers)).all()
         assert assign_step(data, b).labels.tolist() == [0]
+
+
+def fit_of(a, b):
+    return KMeansResult(assignment=a, centroids=b, objective=0.0, iterations=1, converged=False)
+
+
+class TestRowBounds:
+    @settings(deadline=None, max_examples=150)
+    @given(CASES, st.sampled_from([0.0, 0.3, 0.7]))
+    def test_bounded_sweeps_equal_plain_assign_step(self, case, rate):
+        # The sweeps and refills of a k-POD fit. The unobserved cells start
+        # filled from random rows, so the first refill moves rows far, toward
+        # any center; each round then runs warm sweeps that carry the bounds
+        # across center moves, and refills from its own centers.
+        data, centers = exact_case(*case)
+        (n, p, k), rng = case[1], np.random.default_rng(case[0])
+        unobserved = rng.random((n, p)) < rate
+        filled_from = fit_of(Assignment(labels=rng.integers(0, k, n)),
+                             Centroids(centers=data[rng.integers(0, n, k)]))
+        b, bounds = Centroids(centers=centers), RowBounds(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = filled_from.centroids.centers[filled_from.assignment.labels]
+            data[unobserved] = old[unobserved]
+            for _ in range(3):
+                for _ in range(2):
+                    a = assign_step(data, b, bounds=bounds)
+                    assert np.array_equal(a.labels, assign_step(data, b).labels)
+                    moved, b = b, update_step(data, a, k)
+                    bounds.centers_moved(moved, b)
+                data[unobserved] = b.centers[a.labels][unobserved]
+                bounds.refilled(fit_of(a, b), filled_from)
+                filled_from = fit_of(a, b)
+            assert np.array_equal(assign_step(data, b, bounds=bounds).labels,
+                                  assign_step(data, b).labels)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs 80-bit long double")
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([5, 60, 200]), st.integers(2, 4),
+           st.sampled_from(SCALES))
+    def test_skip_rule_holds_for_the_tightest_valid_bounds(self, seed, p, k, scale_offset):
+        # Bounds from GEMM values are loose by their error bound; these are
+        # the true distances to within one float step, taken in extended
+        # precision, on rows a few ulps from a tie, where the exact path's
+        # rounding (larger for wider rows) can reverse the true order. Only the
+        # skip rule's own margins then keep its labels equal to the exact path's.
+        n, rng = 2048, np.random.default_rng(seed)
+        centers = rng.normal(0, 1, (k, p))
+        pairs = centers[rng.integers(0, k, (2, n))]
+        noise = rng.normal(0, 1, (n, p)) * 10.0 ** rng.uniform(-16, -14.5, (n, 1))
+        (scale, offset), ld = scale_offset, np.longdouble
+        data = ((pairs[0] + pairs[1]) / 2 + noise) * scale + offset
+        centers = centers * scale + offset
+        diff = data.astype(ld)[:, None, :] - centers.astype(ld)
+        true = np.sqrt(np.sum(diff * diff, axis=2))
+        own = np.argmin(true, axis=1)
+        rows = np.arange(n)
+        near = true[rows, own] * (1 + ld(2.0**-57))
+        true[rows, own] = np.inf
+        far = true.min(axis=1) * (1 - ld(2.0**-57))
+        bounds = RowBounds(n)
+        bounds.labels[:] = own
+        with np.errstate(over="ignore"):
+            up, down = near.astype(float), far.astype(float)
+            bounds.upper[:] = np.where(up.astype(ld) < near, np.nextafter(up, np.inf), up)
+            bounds.lower[:] = np.where(down.astype(ld) > far, np.nextafter(down, -np.inf), down)
+            want = assign_step(data, Centroids(centers=centers)).labels
+        got = assign_step(data, Centroids(centers=centers), bounds=bounds).labels
+        assert np.array_equal(got, want)
+
+    def test_a_refill_toward_another_center_reopens_the_row(self):
+        # Cell 1 is unobserved. Filled from (0, -3), the row is nearer center
+        # 0; refilled from center 0's value 0 it is nearer center 1, though
+        # its bounds from before the refill would keep label 0.
+        data = np.array([[0.9, -3.0]])
+        filled_from = fit_of(Assignment(labels=[0]), Centroids(centers=[[0.0, -3.0], [1.0, 0.5]]))
+        b, bounds = Centroids(centers=[[0.0, 0.0], [1.0, 0.5]]), RowBounds(1)
+        a = assign_step(data, b, bounds=bounds)
+        assert a.labels.tolist() == [0] and bounds.undecided(2).size == 0
+        data[0, 1] = b.centers[0, 1]
+        bounds.refilled(fit_of(a, b), filled_from)
+        assert assign_step(data, b, bounds=bounds).labels.tolist() == [1]
+
+    def test_warm_sweeps_skip_most_rows_of_separated_clusters(self):
+        rng = np.random.default_rng(3)
+        centers = rng.normal(0, 10, (4, 10))
+        data = centers[rng.integers(0, 4, 2000)] + rng.normal(0, 1, (2000, 10))
+        bounds = RowBounds(len(data))
+        b = Centroids(centers=centers + 0.5)
+        assert bounds.undecided(10).size == len(data)
+        a = assign_step(data, b, bounds=bounds)
+        moved, b = b, update_step(data, a, 4)
+        bounds.centers_moved(moved, b)
+        assert bounds.undecided(10).size < len(data) // 10
+
+    def test_bounds_need_a_warm_start_and_matching_rows(self):
+        data = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValueError, match="init"):
+            lloyd(data, 2, seed=0, bounds=RowBounds(6))
+        with pytest.raises(ShapeMismatchError):
+            lloyd(data, 2, init=Centroids(centers=data[:2]), bounds=RowBounds(5))
 
 
 class TestUpdate:

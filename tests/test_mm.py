@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from kpod import (
     MechanismSpec,
     MixtureSpec,
     ampute,
+    column_stats,
     fill_unobserved,
     init_fill,
     kpod_fit,
@@ -65,10 +67,17 @@ class TestInitFill:
                 assert out[i, j] == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_column_propagates(self):
-        observed = np.ones((3, 2), bool)
-        observed[:, 0] = False
-        with pytest.raises(DegenerateColumnError):
-            init_fill(MaskedMatrix(values=np.ones((3, 2)), observed=observed))
+        observed = np.ones((3, 3), bool)
+        observed[:, 1] = False
+        with pytest.raises(DegenerateColumnError) as err:
+            init_fill(MaskedMatrix(values=np.ones((3, 3)), observed=observed))
+        assert err.value.column == 1
+
+    def test_bit_identical_to_the_column_stats_means(self):
+        rng = np.random.default_rng(12)
+        x = random_masked(rng, 300, 7, 0.5)
+        want = np.where(x.observed, x.values, column_stats(x).means)
+        assert init_fill(x).tobytes() == want.tobytes()
 
 
 class TestMajorization:
@@ -190,6 +199,24 @@ class TestKPodFit:
         assert np.array_equal(a.assignment.labels, b.assignment.labels)
         assert np.array_equal(a.centroids.centers, b.centroids.centers)
         assert a.observed_objective_trace == b.observed_objective_trace
+
+    def test_allocates_at_most_three_and_a_half_copies_of_the_data(self):
+        # The fixed-work fit of the benchmark: 11 rounds of two sweeps each.
+        # The filled matrix, the unobserved cells' indices, the model gathered
+        # for a refill and update_step's cell indices are each about one copy.
+        rng = np.random.default_rng(13)
+        centers = rng.normal(0, 3, (20, 50))
+        values = centers[rng.integers(0, 20, 20000)] + rng.normal(0, 1, (20000, 50))
+        x = MaskedMatrix(values=values, observed=rng.random((20000, 50)) >= 0.5)
+        cfg = KPodConfig(k=20, seed=1, max_mm_iter=11, mm_tol=1e-15,
+                         inner=EngineSettings(max_iter=2))
+        tracemalloc.start()
+        try:
+            kpod_fit(x, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * x.values.nbytes
 
     def test_fully_masked_row_rejected_with_index(self):
         observed = np.ones((4, 3), bool)
