@@ -192,3 +192,22 @@ class TestExitCodes:
 
     def test_version_is_0(self):
         assert run(["--version"]) == 0
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("command, files", [
+        (["cluster", "--k", 2, "--label-column", "c"], {"in.csv": "a,b,c\n1,2\n3,4\n"}),
+        (["cluster", "--k", 2], {"in.csv": "a,b\n1,2\n3," + "0" * 131073 + "\n"}),
+        (["evaluate"], {"truth.csv": "label\na\nb\n", "pred.csv": "label\na\n" + "b" * 131073}),
+    ], ids=["row narrower than header", "data field over csv limit", "label over csv limit"])
+    def test_is_an_error_line_not_a_traceback(self, tmp_path, capsys, command, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        paths = [tmp_path / name for name in files]
+        if command[0] == "cluster":
+            argv = command + ["--input", paths[0], "--output", tmp_path / "fit"]
+        else:
+            argv = command + paths
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(line " in err
