@@ -9,9 +9,9 @@ missing, blank lines at the end of the file are ignored, and every row must be
 as wide as the header.
 
 Data files are written a block of rows at a time. They are read a block of
-lines at a time too, unless a line holds a quote, a ``\r``, a NUL or a cell
-that is neither a finite number, the token nor empty; such a file is read one
-cell at a time, which raises the errors. Either way the bytes and values are
+lines at a time too, unless a line holds a quote, a lone ``\r``, a NUL or a
+cell that is neither a finite number, the token nor empty; such a file is read
+one cell at a time, which raises the errors. Either way the bytes and values are
 those of the one-cell-at-a-time rules.
 """
 
@@ -104,13 +104,14 @@ def _read_rows(path: Path, has_header: bool, width: int | None = None,
 
 
 def _plain_text(lines: list[str]) -> str | None:
-    """The lines joined, if splitting each at commas gives the fields ``csv.reader`` gives.
+    """The lines joined with ``\n`` ends, if splitting each at commas gives the fields
+    ``csv.reader`` gives.
 
-    ``None`` for no lines, a blank line, a quote, a ``\r``, a NUL (which
-    Python 3.10's csv rejects) or a line longer than the csv module's field
-    limit.
+    ``None`` for no lines, a blank line, a quote, a ``\r`` outside a ``\r\n``
+    line end, a NUL (which Python 3.10's csv rejects) or a line longer than
+    the csv module's field limit.
     """
-    text = "".join(lines)
+    text = "".join(lines).replace("\r\n", "\n")
     if (not text or text[0] == "\n" or "\n\n" in text or '"' in text or "\r" in text
             or "\0" in text or max(map(len, lines)) > csv.field_size_limit()):
         return None
@@ -146,8 +147,9 @@ def _read_masked_blocks(path: Path, missing_token: str, has_header: bool,
                         ) -> tuple[MaskedMatrix, Assignment | None] | None:
     """:func:`_read_masked_cells`' result, read a block of lines at a time, or ``None``.
 
-    Each line is split at commas (see :func:`_plain_text`) and each cell
-    stripped, as in the cell loop. Cells that are then the token or empty
+    Blank lines at the end of the file are dropped, each other line is split
+    at commas (see :func:`_plain_text`) and each cell stripped, as in the cell
+    loop. Cells that are then the token or empty
     become ``"nan"``, and one ``np.fromiter`` takes ``float`` of every cell of
     a block. The block counts only if its NaNs are exactly those cells and
     every other value is finite, so each value is the cell loop's. Anything
@@ -172,7 +174,16 @@ def _read_masked_blocks(path: Path, missing_token: str, has_header: bool,
                     label_idx = header.index(label_column)
             elif label_column is not None:
                 return None
+            ended = False  # blank lines were dropped, so only blank lines may follow
             while lines := list(islice(handle, _BLOCK_ROWS)):
+                n_lines = len(lines)
+                while lines and lines[-1] in ("\n", "\r\n"):
+                    lines.pop()
+                if ended and lines:
+                    return None
+                ended = len(lines) < n_lines
+                if not lines:
+                    continue
                 text = _plain_text(lines)
                 if text is None:
                     return None

@@ -202,7 +202,7 @@ FLOATS = st.one_of(
 )
 # Cells the block read must leave to the cell loop, or read as it does.
 ODD_CELLS = ["", " NA ", "\t2 ", "  ", "nan", "-nan", "inf", "-inf", "1e999", "1_0", '"1.5"',
-             '"7', '"1,5"', '"NA"', "#3", "١٢", "0x10", " ", "-999", "1\x002"]
+             '"7', '"1,5"', '"NA"', "#3", "١٢", "0x10", " ", "-999", "1\x002", "1\r2"]
 
 
 def _outcome(read, path, *args):
@@ -218,8 +218,10 @@ def _outcome(read, path, *args):
 def data_files(draw):
     """The text of a data file, its read arguments, and whether it is plain.
 
-    A file that is not plain has up to two odd cells or labels, and may have
-    a ragged row, ``\r\n`` line ends, blank lines or an odd header name.
+    A plain file holds numbers, the token and empty cells, with ``\n`` or
+    ``\r\n`` line ends and maybe blank lines at the end, and the block read
+    must take it. Other files have up to two odd cells or labels, a ragged
+    row, a blank line between rows or an odd header name.
     """
     token = draw(st.sampled_from(["NA", "?", "", "nan", "-999", " x "]))
     odd = draw(st.booleans())
@@ -260,7 +262,8 @@ def data_files(draw):
     lines = ([header] if has_header else []) + rows
     text = "".join(",".join(row) + end for row in lines) + tail
     label_column = "class" if label_idx is not None else draw(st.sampled_from([None, "class"]))
-    plain = not odd and token == token.strip() and (label_column is None or label_idx is not None)
+    plain = (kinds <= {"crlf", "tail"} and token == token.strip()
+             and (label_column is None or label_idx is not None))
     return text, (token, has_header, label_column), plain
 
 
@@ -271,6 +274,7 @@ class TestBlockRead:
     @example(("a\r\n1\r\n\r\n2\r\n", ("NA", True, None), False))  # a blank \r\n line
     @example(("a\n\n1\n", ("NA", True, None), False))  # a blank line opens a block
     @example(("\n1\n2\n", ("NA", True, None), False))  # a blank header
+    @example(("a\n1\r2\n", ("NA", True, None), False))  # a lone \r ends a line
     def test_equals_the_cell_loop(self, tmp_path_factory, case):
         text, args, plain = case
         path = tmp_path_factory.mktemp("read") / "data.csv"
@@ -280,6 +284,20 @@ class TestBlockRead:
             csv_io._read_masked_cells, path, *args)
         if plain:
             assert csv_io._read_masked_blocks(path, *args) is not None
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("rows", [255, 256, 257, 511, 512])
+    def test_blank_lines_at_a_block_edge(self, tmp_path, rows, end):
+        # Blank lines at the end are dropped; one followed by a row is an error.
+        path = tmp_path / "data.csv"
+        body = "a,b" + end + ("1.5,NA" + end) * rows
+        for blank, more in [(1, ""), (300, ""), (1, "3,4" + end), (300, "3,4" + end)]:
+            with path.open("w", newline="") as handle:
+                handle.write(body + end * blank + more)
+            args = ("NA", True, None)
+            assert _outcome(read_masked_csv, path, *args) == _outcome(
+                csv_io._read_masked_cells, path, *args)
+            assert (csv_io._read_masked_blocks(path, *args) is None) == bool(more)
 
     @pytest.fixture()
     def no_cell_loop(self, monkeypatch):
