@@ -199,7 +199,7 @@ class TestMalformedCsv:
         (["cluster", "--k", 2, "--label-column", "c"], {"in.csv": "a,b,c\n1,2\n3,4\n"}),
         (["cluster", "--k", 2], {"in.csv": "a,b\n1,2\n3," + "0" * 131073 + "\n"}),
         (["evaluate"], {"truth.csv": "label\na\nb\n", "pred.csv": "label\na\n" + "b" * 131073}),
-    ], ids=["row narrower than header", "data field over csv limit", "label over csv limit"])
+    ], ids=["narrow-row", "data-over-field-limit", "label-over-field-limit"])
     def test_is_an_error_line_not_a_traceback(self, tmp_path, capsys, command, files):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
