@@ -285,7 +285,7 @@ class TestBlockRead:
         if plain:
             assert csv_io._read_masked_blocks(path, *args) is not None
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("rows", [255, 256, 257, 511, 512])
     def test_blank_lines_at_a_block_edge(self, tmp_path, rows, end):
         # Blank lines at the end are dropped; one followed by a row is an error.
