@@ -9,10 +9,10 @@ missing, blank lines at the end of the file are ignored, and every row must be
 as wide as the header.
 
 Data files are written a block of rows at a time. They are read a block of
-lines at a time too, unless a line holds a quote, a lone ``\r``, a NUL or a
-cell that is neither a finite number, the token nor empty; such a file is read
-one cell at a time, which raises the errors. Either way the bytes and values are
-those of the one-cell-at-a-time rules.
+lines at a time too, unless the file holds a quote, a lone ``\r`` or a NUL, or
+a line holds a cell that is neither a finite number, the token nor empty; such
+a file is read one cell at a time, which raises the errors. Either way the bytes
+and values are those of the one-cell-at-a-time rules.
 """
 
 from __future__ import annotations
@@ -103,17 +103,30 @@ def _read_rows(path: Path, has_header: bool, width: int | None = None,
     return None, rows
 
 
-def _plain_text(lines: list[str]) -> str | None:
-    """The lines joined with ``\n`` ends, if splitting each at commas gives the fields
-    ``csv.reader`` gives.
+def _csv_quirks(path: Path) -> bool:
+    """Whether the bytes of ``path`` hold a quote, a NUL (which Python 3.10's csv
+    rejects) or a ``\r`` outside a ``\r\n`` line end: text whose lines, split at
+    commas, need not give the fields ``csv.reader`` gives."""
+    with path.open("rb") as handle:
+        while chunk := handle.read(1 << 20):
+            if chunk.endswith(b"\r"):  # keep a \r\n line end in one chunk
+                chunk += handle.read(1)
+            if b'"' in chunk or b"\0" in chunk or (
+                    b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
+                return True
+    return False
 
-    ``None`` for no lines, a blank line, a quote, a ``\r`` outside a ``\r\n``
-    line end, a NUL (which Python 3.10's csv rejects) or a line longer than
-    the csv module's field limit.
+
+def _plain_text(lines: list[str]) -> str | None:
+    """The lines of a file without :func:`_csv_quirks`, joined with ``\n`` ends,
+    if splitting each at commas gives the fields ``csv.reader`` gives.
+
+    ``None`` for no lines, a blank line or a line longer than the csv module's
+    field limit.
     """
     text = "".join(lines).replace("\r\n", "\n")
-    if (not text or text[0] == "\n" or "\n\n" in text or '"' in text or "\r" in text
-            or "\0" in text or max(map(len, lines)) > csv.field_size_limit()):
+    if (not text or text[0] == "\n" or "\n\n" in text
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
     return text
 
@@ -155,8 +168,11 @@ def _read_masked_blocks(path: Path, missing_token: str, has_header: bool,
     every other value is finite, so each value is the cell loop's. Anything
     else, such as a literal ``nan``, a ragged row or a cell ``float`` rejects,
     gives ``None``: the cell loop then reads the file and raises its error
-    with the line and column.
+    with the line and column. So does a file with :func:`_csv_quirks`, before
+    any block is parsed.
     """
+    if _csv_quirks(path):
+        return None
     as_nan = dict.fromkeys((missing_token, ""), "nan")
     label_idx = width = None
     blocks, raw_labels, n_rows = [], [], 0

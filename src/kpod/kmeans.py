@@ -35,7 +35,7 @@ class Assignment:
         labels = np.asarray(self.labels)
         if labels.ndim != 1:
             raise ShapeMismatchError(f"labels must be 1-D, got shape {labels.shape}")
-        if not np.issubdtype(labels.dtype, np.integer):
+        if labels.dtype.kind not in "iu":
             if not np.all(labels == labels.astype(np.int64)):
                 raise ValueError("labels must be integers")
         labels = labels.astype(np.int64)
@@ -92,10 +92,14 @@ class EngineSettings:
     n_init: int = 1
 
     def __post_init__(self):
-        check_count("max_iter", self.max_iter)
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        check_count("n_init", self.n_init)
+        _check_settings(self.max_iter, self.tol, self.n_init)
+
+
+def _check_settings(max_iter, tol, n_init) -> None:
+    check_count("max_iter", max_iter)
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    check_count("n_init", n_init)
 
 
 def _is_integer(value) -> bool:
@@ -160,23 +164,26 @@ def _gemm_argmin(block: np.ndarray, centers: np.ndarray):
     covers the absolute error of gradual underflow. Overflow here is expected
     and handled, so it raises no warning.
 
+    The values are laid out one row per center, so that every reduction over
+    the centers runs along the outer axis, elementwise over the block.
+
     Also returns, for :class:`RowBounds`, the two smallest GEMM values, |x|^2
     and that margin bound: ``value + |x|^2`` errs from the true squared
     distance by far less than the bound.
     """
     c_sq = np.einsum("kp,kp->k", centers, centers)
-    dists = block @ (-2.0 * centers.T)
-    dists += c_sq
-    best = np.argmin(dists, axis=1)
-    rows = np.arange(block.shape[0])
-    nearest = dists[rows, best]
-    dists[rows, best] = np.inf
-    second = dists.min(axis=1)
+    dists = (-2.0 * centers) @ block.T
+    dists += c_sq[:, None]
+    best = dists.argmin(axis=0)
+    nearest = dists.min(axis=0)
+    # Hide each row's ``best`` value: the smallest left is at another center.
+    np.putmask(dists, best == np.arange(len(centers))[:, None], np.inf)
+    second = dists.min(axis=0)
     margin = second - nearest
     x_sq = np.einsum("ij,ij->i", block, block)
-    scale = x_sq + (c_sq.max() + np.finfo(float).tiny)
-    bound = (4 * scale) * (2 * (centers.shape[1] + 4) * np.finfo(float).eps)
-    unsure = np.flatnonzero(~((margin > bound) & (margin < np.inf)))
+    scale = x_sq + (c_sq.max() + _TINY)
+    bound = (4 * scale) * (2 * (centers.shape[1] + 4) * _EPS)
+    unsure = (~((margin > bound) & (margin < np.inf))).nonzero()[0]
     return best, unsure, (nearest, second, x_sq, bound)
 
 
@@ -189,9 +196,10 @@ def _block_labels(block: np.ndarray, centers: np.ndarray):
 
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 # A distance whose square is the smallest normal number, and one whose square
 # is a quarter of the largest float.
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+_SQRT_TINY = math.sqrt(_TINY)
 _SQRT_HUGE = math.sqrt(np.finfo(float).max) / 2
 
 
@@ -289,12 +297,13 @@ def kmeans_objective(data, a: Assignment, b: Centroids) -> float:
         raise ShapeMismatchError(
             f"centers have {b.n_features} features, data has {data.shape[1]}"
         )
-    if a.labels.size and a.labels.max() >= b.k:
-        raise IndexError(f"label {int(a.labels.max())} out of range for k={b.k}")
-    diff = b.centers[a.labels]
+    try:
+        diff = b.centers.take(a.labels, axis=0)
+    except IndexError:  # labels are nonnegative, so the largest is out of range
+        raise IndexError(f"label {int(a.labels.max())} out of range for k={b.k}") from None
     np.subtract(data, diff, out=diff)
     np.multiply(diff, diff, out=diff)
-    return float(np.sum(diff))
+    return float(diff.sum())
 
 
 def kmeanspp_init(data, k: int, seed=None) -> Centroids:
@@ -314,9 +323,15 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = _sq_dists(data, data[chosen[:1]])[:, 0]
+    d2 = np.full(n, np.inf)
     duplicated = False
     for i in range(1, k):
+        # Each row's distance to the newest center, a block of rows at a time
+        # so the differences stay small, kept where it is the nearest yet.
+        center = data[chosen[i - 1:i]]
+        for start in range(0, n, _BLOCK_ROWS):
+            near = d2[start:start + _BLOCK_ROWS]
+            np.minimum(near, _sq_dists(data[start:start + _BLOCK_ROWS], center)[:, 0], out=near)
         total = d2.sum()
         if not np.isfinite(total):
             raise InfeasibleError(
@@ -328,8 +343,6 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
             # Every row coincides with an existing center.
             chosen[i] = rng.integers(n)
             duplicated = True
-        new_d2 = _sq_dists(data, data[chosen[i : i + 1]])[:, 0]
-        d2 = np.minimum(d2, new_d2)
     if duplicated:
         warnings.warn(
             "fewer than k distinct rows; duplicate centers selected",
@@ -381,17 +394,20 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
     labels = a.labels
     if len(a) != data.shape[0]:
         raise ShapeMismatchError(f"{len(a)} labels for {data.shape[0]} rows")
-    if labels.size and labels.max() >= k:
-        raise IndexError(f"label {int(labels.max())} out of range for k={k}")
     counts = np.bincount(labels, minlength=k)
+    # Labels are nonnegative, so one out of range makes the counts longer than k.
+    if counts.size > k:
+        raise IndexError(f"label {counts.size - 1} out of range for k={k}")
     p = data.shape[1]
-    # One bin per (cluster, column) cell; each bin adds its rows in row order,
-    # exactly as np.add.at would.
-    cells = (labels * p)[:, None] + np.arange(p)
+    # One bin per (cluster, column) cell, numbered c p + j and gathered row by
+    # row from a table of them; each bin adds its rows in row order, exactly
+    # as np.add.at would.
+    cells = np.arange(k * p).reshape(k, p).take(labels, axis=0)
     sums = np.bincount(cells.ravel(), weights=data.ravel(), minlength=k * p).reshape(k, p)
-    centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], 0.0)
+    # An empty cluster's sums are 0, so its center is 0 until the repair below.
+    centers = sums / np.maximum(counts, 1)[:, None]
 
-    empty = np.flatnonzero(counts == 0)
+    empty = (counts == 0).nonzero()[0]
     if empty.size:
         own_d2 = np.sum((data - centers[labels]) ** 2, axis=1)
         for cluster in empty:
@@ -410,7 +426,7 @@ def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, t
         labels = assign_step(data, centers, bounds=bounds)
         # The data is the same within a solve, so when the labels repeat, the
         # update and the objective would repeat the current ones bit for bit.
-        if assignment is not None and np.array_equal(labels.labels, assignment.labels):
+        if assignment is not None and not (labels.labels != assignment.labels).any():
             converged = True
             break
         assignment, previous = labels, centers
@@ -445,7 +461,7 @@ def lloyd(data, k: int, seed=None, max_iter: int = 100, tol: float = 1e-6,
     """
     data = _as_data(data)
     check_k(k, data.shape[0])
-    EngineSettings(max_iter=max_iter, tol=tol, n_init=n_init)  # checks them
+    _check_settings(max_iter, tol, n_init)
     if init is not None:
         if init.k != k or init.n_features != data.shape[1]:
             raise ShapeMismatchError(

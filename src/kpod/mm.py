@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRowError
-from .kmeans import (Assignment, Centroids, EngineSettings, KMeansResult, RowBounds, check_count,
-                     check_k, kmeans_objective, lloyd)
+from .kmeans import (_BLOCK_ROWS, Assignment, Centroids, EngineSettings, KMeansResult, RowBounds,
+                     check_count, check_k, kmeans_objective, lloyd)
 from .masked import MaskedMatrix, fill_unobserved, observed_means
 
 __all__ = ["KPodConfig", "KPodResult", "init_fill", "majorization_value", "kpod_fit"]
@@ -102,18 +102,22 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     """
     validate_clusterable(x, cfg.k)
 
-    filled = init_fill(x)
+    # C order, so that _refill can write through a flat view.
+    filled = np.ascontiguousarray(init_fill(x))
     result = lloyd(
         filled, cfg.k, seed=cfg.seed,
         max_iter=cfg.inner.max_iter, tol=cfg.inner.tol, n_init=cfg.inner.n_init,
     )
     # Rounds differ only in the unobserved cells: refill those, in place.
     unobserved = np.flatnonzero(~x.observed)
-    _refill(filled, unobserved, result)
+    per_row = x.n_cols - x.row_observed_counts()
+    _refill(filled, unobserved, per_row, result)
     # Off the mask a fill equals the model, so the k-means objective of the
     # filled matrix is the observed-entry objective, bit for bit.
     trace = [kmeans_objective(filled, result.assignment, result.centroids)]
-    bounds = RowBounds(x.n_rows)
+    # Within one block a sweep is one GEMM over every row either way, and the
+    # bookkeeping of bounds costs more than the rows they skip would.
+    bounds = RowBounds(x.n_rows) if x.n_rows > _BLOCK_ROWS else None
 
     # Complete data has no unobserved cells: the fill is the identity and the
     # initial solve is already the answer, so no round runs.
@@ -124,8 +128,9 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
             filled, cfg.k, init=result.centroids,
             max_iter=cfg.inner.max_iter, tol=cfg.inner.tol, bounds=bounds,
         )
-        _refill(filled, unobserved, result)
-        bounds.refilled(result, filled_from)
+        _refill(filled, unobserved, per_row, result)
+        if bounds is not None:
+            bounds.refilled(result, filled_from)
         trace.append(kmeans_objective(filled, result.assignment, result.centroids))
         prev, cur = trace[-2:]
         # Labels alone going quiet is not enough to stop: centers keep
@@ -144,8 +149,17 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     )
 
 
-def _refill(filled: np.ndarray, unobserved: np.ndarray, result: KMeansResult) -> None:
-    """Write each row's assigned center into its ``unobserved`` cells (flat
-    indices) of ``filled``: the bytes of :func:`fill_unobserved`, in place."""
-    model = result.centroids.centers[result.assignment.labels]
-    np.put(filled, unobserved, model.ravel()[unobserved])
+def _refill(filled: np.ndarray, unobserved: np.ndarray, per_row: np.ndarray,
+            result: KMeansResult) -> None:
+    """Write each row's assigned center into its unobserved cells of the
+    C-ordered ``filled``, in place: the bytes of :func:`fill_unobserved`.
+
+    ``unobserved`` holds the cells' flat indices in row order and ``per_row``
+    how many each row has. Cell i p + j takes center entry labels[i] p + j,
+    at its own index shifted by (labels[i] - i) p, so only the unobserved
+    cells are gathered."""
+    shift = result.assignment.labels - np.arange(len(filled))
+    shift *= filled.shape[1]
+    source = np.repeat(shift, per_row)
+    source += unobserved
+    filled.reshape(-1)[unobserved] = result.centroids.centers.take(source)

@@ -299,6 +299,26 @@ class TestBlockRead:
                 csv_io._read_masked_cells, path, *args)
             assert (csv_io._read_masked_blocks(path, *args) is None) == bool(more)
 
+    @pytest.mark.parametrize("quirk", ['"7"', "1\x002", "1\r2"], ids=["quote", "nul", "lone-cr"])
+    def test_a_late_quirk_parses_no_block(self, tmp_path, monkeypatch, quirk):
+        # Two blocks of plain rows, then a last line only the csv module splits.
+        path = tmp_path / "data.csv"
+        with path.open("w", newline="") as handle:
+            handle.write("a,b\n" + "1.5,NA\n" * 600 + quirk + ",3\n")
+        args = ("NA", True, None)
+        want = _outcome(csv_io._read_masked_cells, path, *args)
+        calls = []
+
+        def counted(cell):
+            calls.append(cell)
+            return float(cell)
+
+        monkeypatch.setattr(csv_io, "float", counted, raising=False)
+        assert csv_io._read_masked_blocks(path, *args) is None
+        assert calls == []
+        monkeypatch.undo()
+        assert _outcome(read_masked_csv, path, *args) == want
+
     @pytest.fixture()
     def no_cell_loop(self, monkeypatch):
         def cell_loop(*args):

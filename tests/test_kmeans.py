@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,41 @@ class TestSeeding:
         a = kmeanspp_init(data, 4, seed=123).centers
         b = kmeanspp_init(data, 4, seed=123).centers
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [7, 70])
+    def test_blocks_sample_from_whole_matrix_distances(self, k):
+        # Over two blocks of rows, all but 22 of them copies of 40 distinct
+        # ones: at k = 70 the 62 distinct rows run out, so the branch for
+        # duplicate centers runs too. Every probability vector handed to
+        # choice must be that of whole-matrix distances, bit for bit.
+        class Recorded(np.random.Generator):
+            def choice(self, n, p=None):
+                self.probabilities.append(p.tobytes())
+                return super().choice(n, p=p)
+
+        rng = np.random.default_rng(17)
+        pool = rng.normal(0, 1, (40, 6))
+        data = pool[rng.integers(0, 40, 2 * _BLOCK_ROWS + 37)]
+        data[::97] += rng.normal(0, 1e-9, (len(data[::97]), 6))
+        for seed in range(3):
+            want_rng, want_p = np.random.default_rng(seed), []
+            chosen = [int(want_rng.integers(len(data)))]
+            d2 = _sq_dists(data, data[chosen[-1:]])[:, 0]
+            for _ in range(1, k):
+                total = d2.sum()
+                if total > 0:
+                    want_p.append((d2 / total).tobytes())
+                    chosen.append(int(want_rng.choice(len(data), p=d2 / total)))
+                else:
+                    chosen.append(int(want_rng.integers(len(data))))
+                d2 = np.minimum(d2, _sq_dists(data, data[chosen[-1:]])[:, 0])
+            got_rng = Recorded(np.random.PCG64(seed))
+            got_rng.probabilities = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DuplicateCentersWarning)
+                got = kmeanspp_init(data, k, seed=got_rng).centers
+            assert got_rng.probabilities == want_p
+            assert got.tobytes() == data[chosen].tobytes()
 
     def test_distance_squared_sampling_frequency(self):
         # Two tight pairs, far apart. Given the first pick, the second center

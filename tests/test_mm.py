@@ -29,6 +29,8 @@ from kpod import (
     simulate_mixture,
     standardize,
 )
+from kpod import mm
+from kpod.kmeans import _BLOCK_ROWS, RowBounds
 from kpod.mm import validate_clusterable
 
 
@@ -267,6 +269,51 @@ class TestKPodFit:
         b = kpod_fit(x, KPodConfig(k=3, seed=42))
         assert np.array_equal(a.assignment.labels, b.assignment.labels)
         assert a.observed_objective_trace == b.observed_objective_trace
+
+
+class TestOneBlockRule:
+    """kpod_fit carries RowBounds across rounds only when the data spans more
+    than one block of rows; either way every output is the same."""
+
+    @staticmethod
+    def fit(x, cfg, monkeypatch, block_rows):
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return RowBounds(n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mm, "_BLOCK_ROWS", block_rows)
+            patch.setattr(mm, "RowBounds", counted)
+            r = kpod_fit(x, cfg)
+        return built, (r.assignment.labels.tobytes(), r.centroids.centers.tobytes(),
+                       [v.hex() for v in r.observed_objective_trace], r.mm_iterations,
+                       r.converged, r.fitted_fill.tobytes())
+
+    @pytest.mark.parametrize("kind", list(Mechanism), ids=lambda kind: kind.value)
+    def test_bounded_small_fit_is_bit_identical(self, monkeypatch, kind):
+        values, _ = simulate_mixture(MixtureSpec(n=200, p=40, k=5, center_sd=1.0, seed=3))
+        x = ampute(values, MechanismSpec(
+            kind=kind, target_rate=0.4, seed=4,
+            mar_columns=tuple(range(20)) if kind is Mechanism.MAR else None))
+        cfg = KPodConfig(k=5, seed=5, max_mm_iter=40, mm_tol=1e-15)
+        built, default = self.fit(x, cfg, monkeypatch, _BLOCK_ROWS)
+        assert built == []
+        built, bounded = self.fit(x, cfg, monkeypatch, 64)
+        assert built == [200]
+        assert bounded == default
+
+    def test_one_row_past_a_block_takes_the_bounds(self, monkeypatch):
+        n = _BLOCK_ROWS + 1
+        values, _ = simulate_mixture(MixtureSpec(n=n, p=6, k=4, seed=6))
+        x = ampute(values, MechanismSpec(kind=Mechanism.MCAR, target_rate=0.3, seed=7))
+        cfg = KPodConfig(k=4, seed=8, max_mm_iter=20, mm_tol=1e-15)
+        built, bounded = self.fit(x, cfg, monkeypatch, _BLOCK_ROWS)
+        assert built == [n]
+        built, unbounded = self.fit(x, cfg, monkeypatch, n)
+        assert built == []
+        assert bounded == unbounded
 
 
 def reference_fit(x, cfg):

@@ -4,7 +4,8 @@ The benchmark checks every result, and its tracer wraps kpod's public
 functions by name and reads their arguments: it counts assign flops from the
 ``Centroids`` handed to ``assign_step``, for one. A refactor that renames such
 a function or hands it a bare array breaks the benchmark without breaking any
-other test; one traced run of a few seconds per workload catches that.
+other test; one traced run of a few seconds per workload catches that. So
+does a private loop that bypasses a traced name: its layer then reads zero.
 """
 
 import json
@@ -28,3 +29,5 @@ def test_traced_run_passes_its_checks(workload):
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    for name in ("kmeans.sweeps", "mm.rounds", "kmeans.update_s", "kmeans.objective_s"):
+        assert result["metrics"][name]["value"] > 0, name
