@@ -9,11 +9,8 @@ same amputed dataset (paired comparisons).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -199,6 +196,7 @@ class ScenarioGrid:
 
     @classmethod
     def from_json(cls, path) -> "ScenarioGrid":
+        import json
         with Path(path).open() as handle:
             return cls.from_dict(json.load(handle))
 
@@ -221,6 +219,7 @@ class ReportRow:
 
 def derive_seed(*parts) -> int:
     """Order-independent, process-independent child seed from grid coordinates."""
+    import hashlib
     text = "/".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -325,6 +324,7 @@ def run_benchmark(grid: ScenarioGrid, workers: int = 1, measure_time: bool = Tru
     if workers <= 1:
         grouped = [_run_trial(*task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_run_trial, *zip(*tasks)))
     return [row for group in grouped for row in group]

@@ -36,6 +36,10 @@ class Assignment:
         if labels.ndim != 1:
             raise ShapeMismatchError(f"labels must be 1-D, got shape {labels.shape}")
         if labels.dtype.kind not in "iu":
+            # A float that is not finite or lies past int64 would make the
+            # cast below warn; such a label is no integer label either.
+            if labels.dtype.kind == "f" and not np.all((labels >= -2.0**63) & (labels < 2.0**63)):
+                raise ValueError("labels must be integers")
             if not np.all(labels == labels.astype(np.int64)):
                 raise ValueError("labels must be integers")
         labels = labels.astype(np.int64)

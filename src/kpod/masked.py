@@ -30,6 +30,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _zero_unobserved(values: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """``np.where(observed, values, 0.0)`` for a float64 ``values``: the same
+    bits in the same memory layout.
+
+    Each cell's bits, read as an integer, are multiplied by 1 where observed
+    and by 0 elsewhere. On a scattered mask this runs several times faster
+    than ``np.where``, which branches on every cell.
+    """
+    return np.multiply(values.view(np.int64), observed).view(np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class MaskedMatrix:
     """An ``(n, p)`` real matrix plus an observed-entry mask.
@@ -51,10 +62,11 @@ class MaskedMatrix:
             raise ShapeMismatchError(
                 f"mask shape {observed.shape} does not match values shape {values.shape}"
             )
-        if not np.isfinite(values[observed]).all():
+        # The mask is authoritative; unobserved cells hold a fixed 0.0 sentinel,
+        # so a check of every cell afterwards checks the observed ones.
+        values = _zero_unobserved(values, observed)
+        if not np.isfinite(values).all():
             raise ValueError("observed entries must be finite")
-        # The mask is authoritative; unobserved cells hold a fixed 0.0 sentinel.
-        values = np.where(observed, values, 0.0)
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "observed", _readonly(observed.copy()))
 
@@ -159,8 +171,13 @@ def column_stats(x: MaskedMatrix) -> ColumnStats:
     entries, naming the first offending column.
     """
     means, counts = observed_means(x)
-    centered = (x.values - means) * x.observed
-    ssq = np.sum(centered * centered, axis=0)
+    # The mask is stored in C order, so (values - means) * observed comes out
+    # in C order; working in it keeps the column sums' order and bits even
+    # when the values are in Fortran order.
+    centered = np.subtract(x.values, means, order="C")
+    np.multiply(centered, x.observed, out=centered)
+    np.multiply(centered, centered, out=centered)
+    ssq = np.sum(centered, axis=0)
     std_devs = np.sqrt(ssq / np.maximum(counts - 1, 1))
     std_devs[counts < 2] = 0.0
     return ColumnStats(means=means, std_devs=std_devs, counts=counts)
@@ -187,5 +204,6 @@ def standardize(x: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
             "finite; its scale is too large to standardize"
         )
     scale = np.where(stats.std_devs > 0, stats.std_devs, 1.0)
-    scaled = (x.values - stats.means) / scale
+    scaled = np.subtract(x.values, stats.means)
+    np.divide(scaled, scale, out=scaled)
     return MaskedMatrix(values=scaled, observed=x.observed), stats

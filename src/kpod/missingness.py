@@ -106,7 +106,8 @@ def simulate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Assignment]:
     means = rng.normal(0.0, spec.center_sd, size=(spec.k, spec.p))
     labels = rng.integers(spec.k, size=spec.n)
     noise = rng.normal(0.0, math.sqrt(spec.noise_variance), size=(spec.n, spec.p))
-    return means[labels] + noise, Assignment(labels=labels)
+    np.add(noise, means[labels], out=noise)  # the bits of means[labels] + noise
+    return noise, Assignment(labels=labels)
 
 
 def perturb_dataset(values, rel_sd: float, seed=None) -> np.ndarray:
@@ -148,6 +149,8 @@ def _mask_mar(shape: tuple[int, int], total: int, columns: tuple[int, ...],
         )
     chosen = np.zeros((n, cols.size), dtype=bool)
     chosen.reshape(-1)[rng.choice(capacity, size=total, replace=False)] = True
+    if cols.size == p:  # every column, as under MCAR: the draw is the whole mask
+        return chosen
     missing = np.zeros(shape, dtype=bool)
     missing[:, cols] = chosen
     return missing
@@ -162,24 +165,20 @@ def _mask_nmar(values: np.ndarray, total: int, rng: np.random.Generator) -> np.n
     and the achieved rate is exact while masked cells still sit at the bottom
     of each column's distribution.
     """
-    n, p = values.shape
-    missing = np.zeros((n, p), dtype=bool)
-    per_column = _spread_counts(total, p, rng)
-    fell_back: list[int] = []
-    for j in range(p):
-        need = int(per_column[j])
-        if need == 0:
-            continue
-        col = values[:, j]
-        if np.unique(col).size < 2:
-            fell_back.append(j)
-        cutoff = np.sort(col)[need - 1]
-        candidates = np.flatnonzero(col <= cutoff)
-        if candidates.size > need:
-            chosen = rng.choice(candidates, size=need, replace=False)
-        else:
-            chosen = candidates
-        missing[chosen, j] = True
+    per_column = _spread_counts(total, values.shape[1], rng)
+    hit = per_column > 0
+    ordered = np.sort(values, axis=0)
+    cutoffs = ordered[np.maximum(per_column - 1, 0), np.arange(values.shape[1])]
+    # In C order whatever the layout of values, as every mask ampute returns.
+    missing = np.less_equal(values, cutoffs, order="C")
+    missing &= hit
+    # Only a column with ties at its cutoff has more candidates than cells to
+    # hide; those columns draw, in column order.
+    for j in np.flatnonzero(missing.sum(axis=0) > per_column):
+        candidates = np.flatnonzero(missing[:, j])
+        missing[:, j] = False
+        missing[rng.choice(candidates, size=int(per_column[j]), replace=False), j] = True
+    fell_back = np.flatnonzero(hit & (ordered[0] == ordered[-1])).tolist()
     if fell_back:
         warnings.warn(
             f"columns {fell_back} have a single distinct value; masked "

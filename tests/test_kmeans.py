@@ -72,6 +72,21 @@ def update_oracle(data, labels, k):
     return centers
 
 
+class TestAssignment:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63, 0.5])
+    def test_non_integer_float_labels_are_rejected_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^labels must be integers$"):
+                Assignment(labels=np.array([bad, 1.0]))
+
+    def test_integral_floats_in_int64_range_are_labels(self):
+        got = Assignment(labels=np.array([3.0, 2.0**62, -0.0])).labels
+        assert got.dtype == np.int64 and got.tolist() == [3, 2**62, 0]
+        with pytest.raises(ValueError, match="^labels must be nonnegative$"):
+            Assignment(labels=np.array([-(2.0**63)]))
+
+
 class TestObjective:
     def test_rows_on_centroids_give_zero(self):
         centers = np.array([[0.0, 0.0], [5.0, 5.0]])

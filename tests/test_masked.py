@@ -261,3 +261,99 @@ class TestStandardize:
                 standardize(x)
             # column_stats itself still reports what it computed.
             assert np.isinf(column_stats(x).std_devs[1:]).all()
+
+
+def masked_by_formula(values, observed):
+    """The checked sentinel fill, written as ``np.where`` after a gather of the
+    observed cells: the bytes and errors ``MaskedMatrix`` must reproduce."""
+    values = np.asarray(values, dtype=float)
+    observed = np.asarray(observed, dtype=bool)
+    if not np.isfinite(values[observed]).all():
+        raise ValueError("observed entries must be finite")
+    return np.where(observed, values, 0.0)
+
+
+def stats_by_formula(values, observed):
+    counts = observed.sum(axis=0)
+    means = values.sum(axis=0) / counts
+    centered = (values - means) * observed
+    std_devs = np.sqrt(np.sum(centered * centered, axis=0) / np.maximum(counts - 1, 1))
+    std_devs[counts < 2] = 0.0
+    return means, std_devs
+
+
+def standardized_by_formula(values, observed):
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, std_devs = stats_by_formula(values, observed)
+    overflowed = np.flatnonzero(~(np.isfinite(means) & np.isfinite(std_devs)))
+    if overflowed.size:
+        raise InfeasibleError(
+            f"column {int(overflowed[0])}: observed mean or standard deviation is not "
+            "finite; its scale is too large to standardize"
+        )
+    scale = np.where(std_devs > 0, std_devs, 1.0)
+    return masked_by_formula((values - means) / scale, observed)
+
+
+def outcome(f, *args):
+    """Bytes and memory layout of the arrays ``f`` returns, or the type and
+    message of what it raises."""
+    try:
+        return [(a.tobytes(), a.strides) for a in map(np.asarray, f(*args))]
+    except (ValueError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+# Every float: -0.0, subnormals, values whose sums overflow, NaN and inf.
+any_float = st.floats(width=64, allow_nan=True, allow_infinity=True)
+finite_float = st.one_of(st.floats(-1e6, 1e6), st.floats(width=64, allow_nan=False,
+                                                           allow_infinity=False))
+
+
+@st.composite
+def matrix_and_mask(draw, cells):
+    """A matrix and a mask, each laid out in C or Fortran order."""
+    n, p = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    values = np.array(draw(st.lists(cells, min_size=n * p, max_size=n * p))).reshape(n, p)
+    observed = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p)))
+    order = st.sampled_from([np.ascontiguousarray, np.asfortranarray])
+    return draw(order)(values), draw(order)(observed.reshape(n, p))
+
+
+class TestSameBytesAsFormulas:
+    """Preparation runs in place and without the boolean gather; every array
+    and every error stays that of the plain formulas above, bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(matrix_and_mask(any_float))
+    def test_masked_matrix(self, case):
+        values, observed = case
+        got = outcome(lambda v, o: (MaskedMatrix(values=v, observed=o).values,), values, observed)
+        assert got == outcome(lambda v, o: (masked_by_formula(v, o),), values, observed)
+
+    @settings(deadline=None, max_examples=300)
+    @given(matrix_and_mask(finite_float))
+    def test_column_stats_and_standardize(self, case):
+        values, observed = case
+        observed[0, :] = True  # no empty column
+        x = MaskedMatrix(values=values, observed=observed)
+        with np.errstate(all="ignore"):
+            stats = column_stats(x)
+            assert outcome(lambda: (stats.means, stats.std_devs)) == outcome(
+                stats_by_formula, x.values, x.observed)
+        got = outcome(lambda: (standardize(x)[0].values,))
+        assert got == outcome(lambda: (standardized_by_formula(x.values, x.observed),))
+
+    def test_nonfinite_cells_behind_the_mask_are_accepted(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = MaskedMatrix(values=[[bad, -0.0]], observed=[[False, True]])
+            assert x.values.tobytes() == np.array([[0.0, -0.0]]).tobytes()
+            with pytest.raises(ValueError, match="^observed entries must be finite$"):
+                MaskedMatrix(values=[[bad, -0.0]], observed=[[True, True]])
+
+    def test_overflowing_column_raises_the_same_error(self):
+        values = np.array([[1.0, 1e308], [2.0, -1e308], [3.0, 1e308]])
+        x = MaskedMatrix(values=values, observed=np.ones((3, 2), bool))
+        got = outcome(lambda: (standardize(x)[0].values,))
+        assert got == outcome(lambda: (standardized_by_formula(x.values, x.observed),))
+        assert got[0] is InfeasibleError and got[1].startswith("column 1:")

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -258,3 +261,102 @@ class TestAmputeNmar:
         with pytest.warns(QuantileFallbackWarning):
             x = ampute(values, MechanismSpec(kind=Mechanism.NMAR, target_rate=0.3, seed=9))
         assert (~x.observed[:, 1]).sum() > 0
+
+
+def ampute_by_formula(values, spec):
+    """Amputation written as plain formulas: a boolean mask built by fancy
+    assignment, constant columns found with ``np.unique``, then ``np.where``.
+    Returns the stored values, the mask and the columns NMAR masks uniformly."""
+    n, p = values.shape
+    rng = np.random.default_rng(spec.seed)
+    total = min(max(int(round(spec.target_rate * n * p)), 0), n * p - 1)
+    missing = np.zeros((n, p), dtype=bool)
+    fell_back = []
+    if spec.kind is Mechanism.NMAR:
+        base, extra = divmod(total, p)
+        per_column = np.full(p, base, dtype=np.int64)
+        if extra:
+            per_column[rng.choice(p, size=extra, replace=False)] += 1
+        for j in range(p):
+            need = int(per_column[j])
+            if need == 0:
+                continue
+            col = values[:, j]
+            if np.unique(col).size < 2:
+                fell_back.append(j)
+            cutoff = np.sort(col)[need - 1]
+            candidates = np.flatnonzero(col <= cutoff)
+            if candidates.size > need:
+                candidates = rng.choice(candidates, size=need, replace=False)
+            missing[candidates, j] = True
+    else:
+        cols = np.arange(p) if spec.kind is Mechanism.MCAR else np.array(sorted(set(spec.mar_columns)))
+        chosen = np.zeros((n, cols.size), dtype=bool)
+        chosen.reshape(-1)[rng.choice(n * cols.size, size=total, replace=False)] = True
+        missing[:, cols] = chosen
+    for i in np.flatnonzero(missing.all(axis=1)):
+        missing[i, rng.integers(p)] = False
+    for j in np.flatnonzero(missing.all(axis=0)):
+        missing[rng.integers(n), j] = False
+    observed = ~missing
+    return np.where(observed, values, 0.0), observed, fell_back
+
+
+class TestSameBytesAsFormulas:
+    """Simulation adds in place and amputation skips passes; every draw,
+    mask and value stays that of the formulas, bit for bit."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 30), st.integers(1, 8), st.integers(1, 6),
+           st.sampled_from([0.0, 0.5, 10.0]), st.sampled_from([0.0, 1e-3, 10.0]),
+           st.integers(0, 2**32 - 1))
+    def test_simulate_mixture(self, n, p, k, center_sd, noise_variance, seed):
+        rng = np.random.default_rng(seed)
+        means = rng.normal(0.0, center_sd, size=(k, p))
+        labels = rng.integers(k, size=n)
+        noise = rng.normal(0.0, math.sqrt(noise_variance), size=(n, p))
+        values, got = simulate_mixture(MixtureSpec(n=n, p=p, k=k, center_sd=center_sd,
+                                                   noise_variance=noise_variance, seed=seed))
+        assert values.tobytes() == (means[labels] + noise).tobytes()
+        assert np.array_equal(got.labels, labels)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 30), st.integers(1, 8), st.floats(0.01, 0.99),
+           st.sampled_from(list(Mechanism)), st.integers(0, 2**8 - 1),
+           st.sampled_from(["normal", "ties", "constant"]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_ampute(self, n, p, rate, kind, subset, values_kind, fortran, seed):
+        rng = np.random.default_rng(seed)
+        if values_kind == "normal":
+            values = rng.normal(0, 3, (n, p))
+        else:  # few distinct values, signed zeros among them; or constant columns
+            values = rng.choice([-1.5, -0.0, 0.0, 2.0], size=(n, p))
+            if values_kind == "constant":
+                values[:, ::2] = 7.0
+        if fortran:
+            values = np.asfortranarray(values)
+        cols = tuple(j for j in range(p) if subset >> j & 1) or (0,)
+        total = min(int(round(rate * n * p)), n * p - 1)
+        assume(kind is not Mechanism.MAR or total <= n * len(cols))
+        spec = MechanismSpec(kind=kind, target_rate=rate, seed=seed,
+                             mar_columns=cols if kind is Mechanism.MAR else None)
+        want_values, want_observed, fell_back = ampute_by_formula(values, spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = ampute(values, spec)
+        assert x.values.tobytes() == want_values.tobytes()
+        assert x.values.strides == want_values.strides
+        assert np.array_equal(x.observed, want_observed)
+        assert [str(w.message).split(" have ")[0] for w in caught] == (
+            [f"columns {fell_back}"] if fell_back else [])
+
+    def test_mar_columns_masked_whole_draw_their_kept_cells(self):
+        # Every cell of the single MAR column is drawn, so the last step must
+        # draw a row to keep observed in it.
+        values = np.arange(12.0).reshape(6, 2)
+        spec = MechanismSpec(kind=Mechanism.MAR, target_rate=0.5, mar_columns=(1,), seed=4)
+        want_values, want_observed, _ = ampute_by_formula(values, spec)
+        x = ampute(values, spec)
+        assert want_observed[:, 1].sum() == 1
+        assert x.values.tobytes() == want_values.tobytes()
+        assert np.array_equal(x.observed, want_observed)
