@@ -47,11 +47,6 @@ def _comb2(x) -> np.ndarray:
     return x * (x - 1) // 2
 
 
-# A dense contingency table has at most this many cells per object, so its
-# memory stays O(n); a larger one is counted by sorting the objects' cells.
-_DENSE_CELLS_PER_OBJECT = 16
-
-
 def _dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """The labels, renumbered 0, 1, ... in order if any is n or more, and the
     number of table rows they index, at most n."""
@@ -63,12 +58,7 @@ def _dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def pair_counts(a, b) -> PairCounts:
-    """Count pair agreements via the label contingency table.
-
-    The table is dense, O(n + k_a k_b), when it has at most a few cells per
-    object, as when partitions of a few clusters are compared; otherwise
-    only its nonzero cells are counted, in O(n log n).
-    """
+    """Count pair agreements via the label contingency table (O(n + k_a k_b))."""
     a, b = _labels(a), _labels(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
@@ -76,16 +66,10 @@ def pair_counts(a, b) -> PairCounts:
     if n < 2:
         raise ValueError("need at least two objects to compare partitions")
     (a, ka), (b, kb) = _dense(a), _dense(b)
-    cells = a * kb + b  # below n * n, so within int64 for any n that fits in memory
-    if ka * kb <= _DENSE_CELLS_PER_OBJECT * n:
-        table = np.bincount(cells, minlength=ka * kb).reshape(ka, kb)
-        cell_counts, a_counts, b_counts = table, table.sum(axis=1), table.sum(axis=0)
-    else:
-        cell_counts = np.unique(cells, return_counts=True)[1]
-        a_counts, b_counts = np.bincount(a), np.bincount(b)
-    same_same = int(_comb2(cell_counts).sum())
-    same_a = int(_comb2(a_counts).sum())
-    same_b = int(_comb2(b_counts).sum())
+    contingency = np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
+    same_same = int(_comb2(contingency).sum())
+    same_a = int(_comb2(contingency.sum(axis=1)).sum())
+    same_b = int(_comb2(contingency.sum(axis=0)).sum())
     total = n * (n - 1) // 2
     return PairCounts(
         same_same=same_same,

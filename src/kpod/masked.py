@@ -30,17 +30,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _zero_unobserved(values: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """``np.where(observed, values, 0.0)`` for a float64 ``values``: the same
-    bits in the same memory layout.
-
-    Each cell's bits, read as an integer, are multiplied by 1 where observed
-    and by 0 elsewhere. On a scattered mask this runs several times faster
-    than ``np.where``, which branches on every cell.
-    """
-    return np.multiply(values.view(np.int64), observed).view(np.float64)
-
-
 @dataclass(frozen=True, eq=False)
 class MaskedMatrix:
     """An ``(n, p)`` real matrix plus an observed-entry mask.
@@ -64,7 +53,7 @@ class MaskedMatrix:
             )
         # The mask is authoritative; unobserved cells hold a fixed 0.0 sentinel,
         # so a check of every cell afterwards checks the observed ones.
-        values = _zero_unobserved(values, observed)
+        values = np.where(observed, values, 0.0)
         if not np.isfinite(values).all():
             raise ValueError("observed entries must be finite")
         object.__setattr__(self, "values", _readonly(values))
