@@ -8,11 +8,10 @@ files, an empty cell in reports. On read, empty cells and the token are both
 missing, blank lines at the end of the file are ignored, and every row must be
 as wide as the header.
 
-Data files are written a block of rows at a time. They are read a block of
-lines at a time too, unless the file holds a quote, a lone ``\r`` or a NUL, or
-a line holds a cell that is neither a finite number, the token nor empty; such
-a file is read one cell at a time, which raises the errors. Either way the bytes
-and values are those of the one-cell-at-a-time rules.
+Data files are written a block of rows at a time, and read in one pass of
+``csv.reader`` a block of records at a time, whatever their quoting or line
+ends. The bytes, values and errors are those of the one-cell-at-a-time rules:
+only a block that holds a bad cell is walked cell by cell, to locate it.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,24 +70,38 @@ def _csv_line(cells: Sequence[str]) -> str:
     return out.getvalue()
 
 
+def _records(path: Path) -> Iterator[list[str]]:
+    """The records ``csv.reader`` reads from ``path``, less the blank ones at
+    the end: a blank record is held until a non-blank one follows it.
+
+    A line the csv module cannot read, such as one with a field over its size
+    limit, raises :class:`CsvParseError` with its 1-based line.
+    """
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        blank = 0
+        try:
+            for record in reader:
+                if not record:
+                    blank += 1
+                    continue
+                yield from repeat([], blank)
+                blank = 0
+                yield record
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: {exc}", line=reader.line_num) from None
+
+
 def _read_rows(path: Path, has_header: bool, width: int | None = None,
                ) -> tuple[list[str] | None, list[list[str]]]:
     """The stripped header (``None`` without one) and the data rows of a CSV.
 
     Every row, the header included, must have ``width`` fields (default: as
     many as the first row); a row that does not, a blank line between rows
-    included, raises :class:`CsvParseError` with its 1-based line. So does a
-    line the csv module cannot read, such as one with a field over its size
-    limit.
+    included, raises :class:`CsvParseError` with its 1-based line, as do the
+    lines :func:`_records` cannot read.
     """
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise CsvParseError(f"{path}: {exc}", line=reader.line_num) from None
-    while rows and not rows[-1]:
-        rows.pop()
+    rows = list(_records(path))
     if not rows:
         raise CsvParseError(f"{path}: file is empty")
     if has_header and len(rows) == 1:
@@ -103,38 +116,46 @@ def _read_rows(path: Path, has_header: bool, width: int | None = None,
     return None, rows
 
 
-def _csv_quirks(path: Path) -> bool:
-    """Whether the bytes of ``path`` hold a quote, a NUL (which Python 3.10's csv
-    rejects) or a ``\r`` outside a ``\r\n`` line end: text whose lines, split at
-    commas, need not give the fields ``csv.reader`` gives."""
-    with path.open("rb") as handle:
-        while chunk := handle.read(1 << 20):
-            if chunk.endswith(b"\r"):  # keep a \r\n line end in one chunk
-                chunk += handle.read(1)
-            if b'"' in chunk or b"\0" in chunk or (
-                    b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
-                return True
-    return False
-
-
-def _plain_text(lines: list[str]) -> str | None:
-    """The lines of a file without :func:`_csv_quirks`, joined with ``\n`` ends,
-    if splitting each at commas gives the fields ``csv.reader`` gives.
-
-    ``None`` for no lines, a blank line or a line longer than the csv module's
-    field limit.
-    """
-    text = "".join(lines).replace("\r\n", "\n")
-    if (not text or text[0] == "\n" or "\n\n" in text
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
-    return text
-
-
 def _code_labels(raw: list[str]) -> Assignment:
     """Code distinct label strings as 0..k-1 in sorted order."""
     codes = {value: code for code, value in enumerate(sorted(set(raw)))}
     return Assignment(labels=np.array([codes[v] for v in raw]))
+
+
+def _float_cells(cells: list[str], as_nan: dict[str, str]) -> np.ndarray | None:
+    """``float`` of every cell, the keys of ``as_nan`` as NaN, or ``None`` if
+    some other cell is not a finite number."""
+    try:
+        values = np.fromiter(map(float, map(as_nan.get, cells, cells)), np.float64, len(cells))
+    except ValueError:  # float() rejected a cell
+        return None
+    unobserved = np.isnan(values)
+    if (np.count_nonzero(unobserved) != sum(map(cells.count, as_nan))
+            or not np.isfinite(values[~unobserved]).all()):
+        return None
+    return values
+
+
+def _bad_cell(path: Path, rows: list[list[str]], first_line: int, missing_token: str,
+              label_idx: int | None) -> CsvParseError | None:
+    """The error of the first cell of ``rows`` (whose first row is on file line
+    ``first_line``) that is a missing label, or a feature cell neither missing
+    nor a finite number; ``None`` if there is none."""
+    for line, row in enumerate(rows, start=first_line):
+        for column, cell in enumerate(map(str.strip, row), start=1):
+            if cell == "" or cell == missing_token:
+                if column - 1 == label_idx:
+                    return CsvParseError(f"{path}: missing label", line=line, column=column)
+            elif column - 1 != label_idx:
+                try:
+                    parsed = float(cell)
+                except ValueError:
+                    return CsvParseError(
+                        f"{path}: non-numeric cell {cell!r}", line=line, column=column)
+                if not math.isfinite(parsed):
+                    return CsvParseError(
+                        f"{path}: non-finite cell {cell!r}", line=line, column=column)
+    return None
 
 
 def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
@@ -142,141 +163,65 @@ def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
                     ) -> tuple[MaskedMatrix, Assignment | None]:
     """Read a rectangular numeric CSV into a masked matrix.
 
-    Empty cells and cells equal to ``missing_token`` become unobserved. If
-    ``label_column`` names a header column, that column is pulled out as
-    ground-truth labels (distinct values coded 0..k-1 in sorted order) and
-    excluded from the features. Parse problems raise :class:`CsvParseError`
-    with a 1-based file line and column.
+    Empty cells and cells equal to ``missing_token`` (after stripping) become
+    unobserved. If ``label_column`` names a header column, that column is
+    pulled out as ground-truth labels (distinct values coded 0..k-1 in sorted
+    order) and excluded from the features. Parse problems raise
+    :class:`CsvParseError` with a 1-based file line and column.
+
+    One pass of :func:`_records` takes the file ``_BLOCK_ROWS`` records at a
+    time, and one ``np.fromiter`` takes ``float`` of every cell of a block,
+    the token and empty cells as ``"nan"``. A line the csv module cannot read
+    raises at once. Any other fault is raised after the last line, in this
+    order: no data rows, the first row not as wide as the first record, a bad
+    ``label_column``, the first bad cell.
     """
     path = Path(path)
-    read = _read_masked_blocks(path, missing_token, has_header, label_column)
-    if read is None:
-        read = _read_masked_cells(path, missing_token, has_header, label_column)
-    return read
-
-
-def _read_masked_blocks(path: Path, missing_token: str, has_header: bool,
-                        label_column: str | None,
-                        ) -> tuple[MaskedMatrix, Assignment | None] | None:
-    """:func:`_read_masked_cells`' result, read a block of lines at a time, or ``None``.
-
-    Blank lines at the end of the file are dropped, each other line is split
-    at commas (see :func:`_plain_text`) and each cell stripped, as in the cell
-    loop. Cells that are then the token or empty
-    become ``"nan"``, and one ``np.fromiter`` takes ``float`` of every cell of
-    a block. The block counts only if its NaNs are exactly those cells and
-    every other value is finite, so each value is the cell loop's. Anything
-    else, such as a literal ``nan``, a ragged row or a cell ``float`` rejects,
-    gives ``None``: the cell loop then reads the file and raises its error
-    with the line and column. So does a file with :func:`_csv_quirks`, before
-    any block is parsed.
-    """
-    if _csv_quirks(path):
-        return None
+    records = _records(path)
+    first = next(records, None)
+    if first is None:
+        raise CsvParseError(f"{path}: file is empty")
+    width, label_idx, label_fault = len(first), None, None
+    if label_column is not None:
+        header = [cell.strip() for cell in first] if has_header else None
+        if header is None:
+            label_fault = CsvParseError(f"{path}: label_column requires a header row")
+        elif label_column not in header:
+            label_fault = CsvParseError(
+                f"{path}: no column named {label_column!r}; columns are {header}")
+        else:
+            label_idx = header.index(label_column)
+    if not has_header:
+        records = chain([first], records)
     as_nan = dict.fromkeys((missing_token, ""), "nan")
-    label_idx = width = None
-    blocks, raw_labels, n_rows = [], [], 0
-    try:
-        with path.open(newline="") as handle:
-            if has_header:
-                line = _plain_text([handle.readline()])
-                if line is None:
-                    return None
-                header = [cell.strip() for cell in line.rstrip("\n").split(",")]
-                width = len(header)
-                if label_column is not None:
-                    if label_column not in header:
-                        return None
-                    label_idx = header.index(label_column)
-            elif label_column is not None:
-                return None
-            ended = False  # blank lines were dropped, so only blank lines may follow
-            while lines := list(islice(handle, _BLOCK_ROWS)):
-                n_lines = len(lines)
-                while lines and lines[-1] in ("\n", "\r\n"):
-                    lines.pop()
-                if ended and lines:
-                    return None
-                ended = len(lines) < n_lines
-                if not lines:
-                    continue
-                text = _plain_text(lines)
-                if text is None:
-                    return None
-                if width is None:
-                    width = lines[0].count(",") + 1
-                if set(map(str.count, lines, repeat(","))) != {width - 1}:
-                    return None
-                cells = list(map(str.strip, text.rstrip("\n").replace("\n", ",").split(",")))
-                if label_idx is not None:
-                    block_labels = cells[label_idx::width]
-                    if "" in block_labels or missing_token in block_labels:
-                        return None
-                    raw_labels += block_labels
-                    del cells[label_idx::width]
-                values = np.fromiter(map(float, map(as_nan.get, cells, cells)), float, len(cells))
-                unobserved = np.isnan(values)
-                if (np.count_nonzero(unobserved) != sum(map(cells.count, as_nan))
-                        or not np.isfinite(values[~unobserved]).all()):
-                    return None
-                blocks.append(values)
-                n_rows += len(lines)
-    except ValueError:  # float() rejected a cell, or the file is not text
-        return None
-    if not blocks:
-        return None
-    values = np.concatenate(blocks).reshape(n_rows, width - (label_idx is not None))
+    blocks, raw_labels = [], []
+    width_fault = bad_cell = None
+    line = int(has_header)  # records before the block
+    while block := list(islice(records, _BLOCK_ROWS)):
+        if width_fault is None and set(map(len, block)) != {width}:
+            i = next(i for i, row in enumerate(block) if len(row) != width)
+            width_fault = CsvParseError(
+                f"{path}: expected {width} fields, got {len(block[i])}", line=line + i + 1)
+        if width_fault is None and label_fault is None and bad_cell is None:
+            cells = list(map(str.strip, chain.from_iterable(block)))
+            labels = []
+            if label_idx is not None:
+                labels = cells[label_idx::width]
+                del cells[label_idx::width]
+                raw_labels += labels
+            values = _float_cells(cells, as_nan)
+            if values is None or "" in labels or missing_token in labels:
+                bad_cell = _bad_cell(path, block, line + 1, missing_token, label_idx)
+            blocks.append(values)
+        line += len(block)
+    if has_header and line == 1:
+        raise CsvParseError(f"{path}: no data rows after header")
+    for fault in (width_fault, label_fault, bad_cell):
+        if fault is not None:
+            raise fault
+    values = np.concatenate(blocks).reshape(line - has_header, width - (label_idx is not None))
     labels = _code_labels(raw_labels) if label_idx is not None else None
     return MaskedMatrix(values=values, observed=~np.isnan(values)), labels
-
-
-def _read_masked_cells(path: Path, missing_token: str, has_header: bool,
-                       label_column: str | None,
-                       ) -> tuple[MaskedMatrix, Assignment | None]:
-    """:func:`read_masked_csv` one cell at a time; the rules any faster read must match."""
-    header, rows = _read_rows(path, has_header)
-
-    label_idx: int | None = None
-    if label_column is not None:
-        if header is None:
-            raise CsvParseError(f"{path}: label_column requires a header row")
-        if label_column not in header:
-            raise CsvParseError(
-                f"{path}: no column named {label_column!r}; columns are {header}"
-            )
-        label_idx = header.index(label_column)
-
-    values = np.zeros((len(rows), len(rows[0]) - (label_idx is not None)), dtype=float)
-    observed = np.ones_like(values, dtype=bool)
-    raw_labels: list[str] = []
-    for i, row in enumerate(rows):
-        line = i + 1 + has_header
-        j_out = 0
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if j == label_idx:
-                if cell == "" or cell == missing_token:
-                    raise CsvParseError(f"{path}: missing label", line=line, column=j + 1)
-                raw_labels.append(cell)
-                continue
-            if cell == "" or cell == missing_token:
-                observed[i, j_out] = False
-            else:
-                try:
-                    parsed = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: non-numeric cell {cell!r}", line=line, column=j + 1
-                    ) from None
-                if not math.isfinite(parsed):
-                    raise CsvParseError(
-                        f"{path}: non-finite cell {cell!r}", line=line, column=j + 1
-                    )
-                values[i, j_out] = parsed
-            j_out += 1
-
-    labels = _code_labels(raw_labels) if label_idx is not None else None
-    return MaskedMatrix(values=values, observed=observed), labels
 
 
 def write_masked_csv(x: MaskedMatrix, path, missing_token: str = DEFAULT_MISSING_TOKEN,

@@ -35,6 +35,10 @@ class Assignment:
         labels = np.asarray(self.labels)
         if labels.ndim != 1:
             raise ShapeMismatchError(f"labels must be 1-D, got shape {labels.shape}")
+        if labels.dtype.kind not in "biuf":
+            # Only these kinds hold integer labels; casting complex or object
+            # arrays to int64 would warn or raise inside numpy.
+            raise ValueError("labels must be integers")
         if labels.dtype.kind not in "iu":
             # A float that is not finite or lies past int64 would make the
             # cast below warn; such a label is no integer label either.

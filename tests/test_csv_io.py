@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -200,9 +201,56 @@ FLOATS = st.one_of(
                      1.7976931348623157e308, 0.1, 1 / 3]),
     st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-300, 300)),
 )
-# Cells the block read must leave to the cell loop, or read as it does.
+# Cells the block read must reject or read as the cell loop does.
 ODD_CELLS = ["", " NA ", "\t2 ", "  ", "nan", "-nan", "inf", "-inf", "1e999", "1_0", '"1.5"',
              '"7', '"1,5"', '"NA"', "#3", "١٢", "0x10", " ", "-999", "1\x002", "1\r2"]
+
+
+def _read_by_cells(path, missing_token, has_header, label_column):
+    """``read_masked_csv`` one cell at a time; the rules any faster read must match."""
+    header, rows = csv_io._read_rows(path, has_header)
+
+    label_idx: int | None = None
+    if label_column is not None:
+        if header is None:
+            raise CsvParseError(f"{path}: label_column requires a header row")
+        if label_column not in header:
+            raise CsvParseError(
+                f"{path}: no column named {label_column!r}; columns are {header}"
+            )
+        label_idx = header.index(label_column)
+
+    values = np.zeros((len(rows), len(rows[0]) - (label_idx is not None)), dtype=float)
+    observed = np.ones_like(values, dtype=bool)
+    raw_labels: list[str] = []
+    for i, row in enumerate(rows):
+        line = i + 1 + has_header
+        j_out = 0
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            if j == label_idx:
+                if cell == "" or cell == missing_token:
+                    raise CsvParseError(f"{path}: missing label", line=line, column=j + 1)
+                raw_labels.append(cell)
+                continue
+            if cell == "" or cell == missing_token:
+                observed[i, j_out] = False
+            else:
+                try:
+                    parsed = float(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        f"{path}: non-numeric cell {cell!r}", line=line, column=j + 1
+                    ) from None
+                if not math.isfinite(parsed):
+                    raise CsvParseError(
+                        f"{path}: non-finite cell {cell!r}", line=line, column=j + 1
+                    )
+                values[i, j_out] = parsed
+            j_out += 1
+
+    labels = csv_io._code_labels(raw_labels) if label_idx is not None else None
+    return MaskedMatrix(values=values, observed=observed), labels
 
 
 def _outcome(read, path, *args):
@@ -214,14 +262,19 @@ def _outcome(read, path, *args):
             None if labels is None else labels.labels.tolist())
 
 
+def _write_text(path, text):
+    with path.open("w", newline="") as handle:
+        handle.write(text)
+
+
 @st.composite
 def data_files(draw):
-    """The text of a data file, its read arguments, and whether it is plain.
+    """The text of a data file and its read arguments.
 
-    A plain file holds numbers, the token and empty cells, with ``\n`` or
-    ``\r\n`` line ends and maybe blank lines at the end, and the block read
-    must take it. Other files have up to two odd cells or labels, a ragged
-    row, a blank line between rows or an odd header name.
+    The file holds numbers, the token and empty cells, maybe after 250-300
+    plain rows so that what follows crosses a block edge. Some files also
+    have ``\r\n`` line ends, blank lines at the end, up to two odd cells or
+    labels, a ragged row, a blank line between rows or an odd header name.
     """
     token = draw(st.sampled_from(["NA", "?", "", "nan", "-999", " x "]))
     odd = draw(st.booleans())
@@ -259,31 +312,28 @@ def data_files(draw):
         tail = draw(st.sampled_from([end, end * 2]))
     if "blank" in kinds:
         rows.insert(draw(st.integers(0, n - 1)), [])
+    if draw(st.integers(0, 3)) == 0:
+        plain = ["a" if j == label_idx else "0.5" for j in range(width)]
+        rows[:0] = [plain] * draw(st.integers(250, 300))
     lines = ([header] if has_header else []) + rows
     text = "".join(",".join(row) + end for row in lines) + tail
     label_column = "class" if label_idx is not None else draw(st.sampled_from([None, "class"]))
-    plain = (kinds <= {"crlf", "tail"} and token == token.strip()
-             and (label_column is None or label_idx is not None))
-    return text, (token, has_header, label_column), plain
+    return text, (token, has_header, label_column)
 
 
 class TestBlockRead:
     @settings(deadline=None, max_examples=400)
     @given(data_files())
-    @example(('class,x\n"q",1\na,2\n', ("NA", True, "class"), False))  # csv unquotes labels
-    @example(("a\r\n1\r\n\r\n2\r\n", ("NA", True, None), False))  # a blank \r\n line
-    @example(("a\n\n1\n", ("NA", True, None), False))  # a blank line opens a block
-    @example(("\n1\n2\n", ("NA", True, None), False))  # a blank header
-    @example(("a\n1\r2\n", ("NA", True, None), False))  # a lone \r ends a line
+    @example(('class,x\n"q",1\na,2\n', ("NA", True, "class")))  # csv unquotes labels
+    @example(("a\r\n1\r\n\r\n2\r\n", ("NA", True, None)))  # a blank \r\n line
+    @example(("a\n\n1\n", ("NA", True, None)))  # a blank line opens a block
+    @example(("\n1\n2\n", ("NA", True, None)))  # a blank header
+    @example(("a\n1\r2\n", ("NA", True, None)))  # a lone \r ends a line
     def test_equals_the_cell_loop(self, tmp_path_factory, case):
-        text, args, plain = case
+        text, args = case
         path = tmp_path_factory.mktemp("read") / "data.csv"
-        with path.open("w", newline="") as handle:
-            handle.write(text)
-        assert _outcome(read_masked_csv, path, *args) == _outcome(
-            csv_io._read_masked_cells, path, *args)
-        if plain:
-            assert csv_io._read_masked_blocks(path, *args) is not None
+        _write_text(path, text)
+        assert _outcome(read_masked_csv, path, *args) == _outcome(_read_by_cells, path, *args)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("rows", [255, 256, 257, 511, 512])
@@ -292,21 +342,46 @@ class TestBlockRead:
         path = tmp_path / "data.csv"
         body = "a,b" + end + ("1.5,NA" + end) * rows
         for blank, more in [(1, ""), (300, ""), (1, "3,4" + end), (300, "3,4" + end)]:
-            with path.open("w", newline="") as handle:
-                handle.write(body + end * blank + more)
+            _write_text(path, body + end * blank + more)
             args = ("NA", True, None)
-            assert _outcome(read_masked_csv, path, *args) == _outcome(
-                csv_io._read_masked_cells, path, *args)
-            assert (csv_io._read_masked_blocks(path, *args) is None) == bool(more)
+            got = _outcome(read_masked_csv, path, *args)
+            assert got == _outcome(_read_by_cells, path, *args)
+            assert (got[0] is CsvParseError) == bool(more)
 
-    @pytest.mark.parametrize("quirk", ['"7"', "1\x002", "1\r2"], ids=["quote", "nul", "lone-cr"])
-    def test_a_late_quirk_parses_no_block(self, tmp_path, monkeypatch, quirk):
-        # Two blocks of plain rows, then a last line only the csv module splits.
+    @pytest.mark.parametrize("lines, label_column, match, line, column", [
+        ({10: "1,oops", 600: "1"}, None, "expected 2 fields, got 1", 600, None),
+        ({5: "1", 700: "1," + "0" * 131073}, None, "field larger than field limit", 700, None),
+        ({400: "1,2,3"}, "class", "expected 2 fields, got 3", 400, None),
+        ({258: ""}, None, "expected 2 fields, got 0", 258, None),
+        ({600: "2,oops"}, None, "non-numeric cell 'oops'", 600, 2),
+        ({700: "1\x002,3"}, None, "non-numeric cell '1", 700, 1),
+    ], ids=["bad-cell-then-ragged", "ragged-then-csv-error", "no-label-column-then-ragged",
+            "blank-between-blocks", "bad-cell-in-block-3", "nul-in-block-3"])
+    def test_faults_across_blocks_keep_the_cell_loop_order(self, tmp_path, lines, label_column,
+                                                           match, line, column):
+        # File line 2 opens block 1, line 258 block 2 and line 514 block 3.
         path = tmp_path / "data.csv"
-        with path.open("w", newline="") as handle:
-            handle.write("a,b\n" + "1.5,NA\n" * 600 + quirk + ",3\n")
+        rows = ["a,b"] + ["1.5,NA"] * 800
+        for i, text in lines.items():
+            rows[i - 1] = text
+        _write_text(path, "\n".join(rows) + "\n")
+        args = ("NA", True, label_column)
+        with pytest.raises(CsvParseError, match=match) as err:
+            read_masked_csv(path, *args)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert _outcome(read_masked_csv, path, *args) == _outcome(_read_by_cells, path, *args)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n" + "1.5,NA\n" * 600 + '"7",3\n',
+        "a,b\n" + "1.5,NA\n" * 600 + "2,3\r",
+        '"a","b"\n' + "1.5,NA\n" * 600,
+        "a,b\r\n" + "1.5,NA\r\n" * 600,
+    ], ids=["late-quote", "lone-cr", "quoted-header", "crlf"])
+    def test_each_cell_is_parsed_once(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "data.csv"
+        _write_text(path, text)
         args = ("NA", True, None)
-        want = _outcome(csv_io._read_masked_cells, path, *args)
+        want = _outcome(_read_by_cells, path, *args)
         calls = []
 
         def counted(cell):
@@ -314,19 +389,13 @@ class TestBlockRead:
             return float(cell)
 
         monkeypatch.setattr(csv_io, "float", counted, raising=False)
-        assert csv_io._read_masked_blocks(path, *args) is None
-        assert calls == []
+        x, _ = read_masked_csv(path, *args)
+        assert len(calls) == x.values.size
         monkeypatch.undo()
         assert _outcome(read_masked_csv, path, *args) == want
 
-    @pytest.fixture()
-    def no_cell_loop(self, monkeypatch):
-        def cell_loop(*args):
-            raise AssertionError("a file the package wrote was read cell by cell")
-        monkeypatch.setattr(csv_io, "_read_masked_cells", cell_loop)
-
     @pytest.mark.parametrize("token", ["NA", "?", "-999", ""])
-    def test_package_files_are_read_in_blocks(self, tmp_path, no_cell_loop, token):
+    def test_package_files_are_read_in_blocks(self, tmp_path, token):
         rng = np.random.default_rng(3)
         x = MaskedMatrix(values=rng.normal(0, 1e3, (600, 7)), observed=rng.random((600, 7)) > 0.3)
         path = tmp_path / "data.csv"
@@ -336,7 +405,7 @@ class TestBlockRead:
         assert back.values.tobytes() == x.values.tobytes()
         assert np.array_equal(back.observed, x.observed)
 
-    def test_label_column_layout_is_read_in_blocks(self, tmp_path, no_cell_loop):
+    def test_label_column_layout_is_read_in_blocks(self, tmp_path):
         rng = np.random.default_rng(4)
         values = rng.normal(0, 1, (300, 4))
         values[:, 1] = rng.integers(1, 4, 300)
@@ -354,7 +423,7 @@ class TestBlockRead:
         _, labels = read_masked_csv(path, label_column="class")
         assert labels.labels.tolist() == [0, 0, 1, 1, 2, 2]
 
-    def test_cli_pipeline_reads_in_blocks(self, tmp_path, no_cell_loop, capsys):
+    def test_cli_pipeline_reads_in_blocks(self, tmp_path, capsys):
         data, masked, fit = tmp_path / "data.csv", tmp_path / "masked.csv", tmp_path / "fit"
         for argv in (["simulate", "--n", 300, "--p", 5, "--k", 3, "--seed", 1, "--output", data],
                      ["ampute", "--input", data, "--output", masked, "--mechanism", "mcar",

@@ -20,6 +20,7 @@ from kpod import (
     kmeanspp_init,
     lloyd,
     mean_impute_cluster,
+    rand_index,
     update_step,
 )
 from kpod.kmeans import _BLOCK_ROWS, RowBounds, _sq_dists
@@ -79,6 +80,22 @@ class TestAssignment:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^labels must be integers$"):
                 Assignment(labels=np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [
+        np.array([1 + 0j, 2]),
+        np.array([None, 1], dtype=object),
+        np.array([0, 2**64, 1]),
+        np.array([0, 1, 1], dtype=object),
+        np.array(["0", "1"]),
+        np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
+    ], ids=["complex", "none", "past-uint64", "object-ints", "strings", "datetimes"])
+    def test_labels_of_other_dtypes_are_rejected_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^labels must be integers$"):
+                Assignment(labels=bad)
+            with pytest.raises(ValueError, match="^labels must be integers$"):
+                rand_index(bad, np.zeros(len(bad), dtype=int))
 
     def test_integral_floats_in_int64_range_are_labels(self):
         got = Assignment(labels=np.array([3.0, 2.0**62, -0.0])).labels
