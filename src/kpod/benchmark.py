@@ -197,7 +197,7 @@ class ScenarioGrid:
     @classmethod
     def from_json(cls, path) -> "ScenarioGrid":
         import json
-        with Path(path).open() as handle:
+        with Path(path).open(encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
 
 
@@ -366,18 +366,13 @@ def aggregate_rows(rows: Sequence[ReportRow]) -> list[_Aggregate]:
     keeps its row with count 0 and empty statistics, mirroring how failed
     scenarios are reported as gaps rather than dropped silently.
     """
-    order: list[tuple] = []
     ok_rows: dict[tuple, list[ReportRow]] = {}
     for row in rows:
-        key = (row.mechanism, row.target_rate, row.method)
-        if key not in ok_rows:
-            ok_rows[key] = []
-            order.append(key)
+        group = ok_rows.setdefault((row.mechanism, row.target_rate, row.method), [])
         if row.status == "ok":
-            ok_rows[key].append(row)
+            group.append(row)
     out = []
-    for key in order:
-        group = ok_rows[key]
+    for key, group in ok_rows.items():
         rand_mean, rand_se = _mean_se([r.rand for r in group])
         ari_mean, ari_se = _mean_se([r.adjusted_rand for r in group])
         sec_mean, sec_se = _mean_se([r.seconds for r in group])

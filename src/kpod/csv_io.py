@@ -1,12 +1,14 @@
 """CSV ingestion and emission: the one module that knows the file format.
 
-Every CSV the package writes (data, labels, centroids, objective traces,
-benchmark reports) has one header row, ``\n`` line ends, floats written with
-``repr`` so a write/read round trip preserves every value bit for bit, and a
-fixed text for a missing cell: the missing token ("NA" by default) in data
-files, an empty cell in reports. On read, empty cells and the token are both
-missing, blank lines at the end of the file are ignored, and every row must be
-as wide as the header.
+Every CSV the package reads or writes is UTF-8, whatever the locale, and
+starts with one header row. Every CSV it writes (data, labels, centroids,
+objective traces, benchmark reports) has ``\n`` line ends, floats written
+with ``repr`` so a write/read round trip preserves every value bit for bit,
+and a fixed text for a missing cell: the missing token ("NA" by default) in
+data files, an empty cell in reports. On read, a leading byte-order mark is
+ignored, a byte that is not UTF-8 is an error at its line, empty cells and the
+token are both missing, blank lines at the end of the file are ignored, and
+every row must be as wide as the header.
 
 Data files are written a block of rows at a time, and read in one pass of
 ``csv.reader`` a block of records at a time, whatever their quoting or line
@@ -45,22 +47,21 @@ DEFAULT_MISSING_TOKEN = "NA"
 _BLOCK_ROWS = 256
 
 
-def format_cell(value, missing_token: str = "") -> str:
-    """Text of one cell: ``missing_token`` for ``None``, ``repr`` for floats."""
+def format_cell(value) -> str:
+    """Text of one cell: empty for ``None``, ``repr`` for floats."""
     if value is None:
-        return missing_token
+        return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Iterable],
-              missing_token: str = "") -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
     """Write one header row, then one line per row with cells from :func:`format_cell`."""
-    with Path(path).open("w", newline="") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([format_cell(v, missing_token) for v in row] for row in rows)
+        writer.writerows([format_cell(v) for v in row] for row in rows)
 
 
 def _csv_line(cells: Sequence[str]) -> str:
@@ -75,9 +76,10 @@ def _records(path: Path) -> Iterator[list[str]]:
     the end: a blank record is held until a non-blank one follows it.
 
     A line the csv module cannot read, such as one with a field over its size
-    limit, raises :class:`CsvParseError` with its 1-based line.
+    limit, or a byte that is not UTF-8 raises :class:`CsvParseError` with its
+    1-based line.
     """
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         blank = 0
         try:
@@ -90,11 +92,21 @@ def _records(path: Path) -> Iterator[list[str]]:
                 yield record
         except csv.Error as exc:
             raise CsvParseError(f"{path}: {exc}", line=reader.line_num) from None
+        except UnicodeDecodeError:
+            # The decoder runs up to a buffer ahead of the reader, so the
+            # reader's line is not the bad byte's: find it in the bytes.
+            raw = path.read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # Lines end at \n, \r or \r\n, as the reader counts them.
+                line = len((raw[:exc.start] + b"-").splitlines())
+                raise CsvParseError(f"{path}: {exc}", line=line) from None
+            raise
 
 
-def _read_rows(path: Path, has_header: bool, width: int | None = None,
-               ) -> tuple[list[str] | None, list[list[str]]]:
-    """The stripped header (``None`` without one) and the data rows of a CSV.
+def _read_rows(path: Path, width: int | None = None) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and the data rows of a CSV.
 
     Every row, the header included, must have ``width`` fields (default: as
     many as the first row); a row that does not, a blank line between rows
@@ -104,16 +116,14 @@ def _read_rows(path: Path, has_header: bool, width: int | None = None,
     rows = list(_records(path))
     if not rows:
         raise CsvParseError(f"{path}: file is empty")
-    if has_header and len(rows) == 1:
+    if len(rows) == 1:
         raise CsvParseError(f"{path}: no data rows after header")
     if width is None:
         width = len(rows[0])
     for line, row in enumerate(rows, start=1):
         if len(row) != width:
             raise CsvParseError(f"{path}: expected {width} fields, got {len(row)}", line=line)
-    if has_header:
-        return [cell.strip() for cell in rows[0]], rows[1:]
-    return None, rows
+    return [cell.strip() for cell in rows[0]], rows[1:]
 
 
 def _code_labels(raw: list[str]) -> Assignment:
@@ -159,9 +169,9 @@ def _bad_cell(path: Path, rows: list[list[str]], first_line: int, missing_token:
 
 
 def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
-                    has_header: bool = True, label_column: str | None = None,
+                    label_column: str | None = None,
                     ) -> tuple[MaskedMatrix, Assignment | None]:
-    """Read a rectangular numeric CSV into a masked matrix.
+    """Read a rectangular numeric CSV, header row first, into a masked matrix.
 
     Empty cells and cells equal to ``missing_token`` (after stripping) become
     unobserved. If ``label_column`` names a header column, that column is
@@ -173,36 +183,33 @@ def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
     time, and one ``np.fromiter`` takes ``float`` of every cell of a block,
     the token and empty cells as ``"nan"``. A line the csv module cannot read
     raises at once. Any other fault is raised after the last line, in this
-    order: no data rows, the first row not as wide as the first record, a bad
+    order: no data rows, the first row not as wide as the header, a bad
     ``label_column``, the first bad cell.
     """
     path = Path(path)
     records = _records(path)
-    first = next(records, None)
-    if first is None:
+    header = next(records, None)
+    if header is None:
         raise CsvParseError(f"{path}: file is empty")
-    width, label_idx, label_fault = len(first), None, None
+    # fault: the label column's, else the first bad cell's, which it outranks.
+    width, label_idx, fault = len(header), None, None
     if label_column is not None:
-        header = [cell.strip() for cell in first] if has_header else None
-        if header is None:
-            label_fault = CsvParseError(f"{path}: label_column requires a header row")
-        elif label_column not in header:
-            label_fault = CsvParseError(
-                f"{path}: no column named {label_column!r}; columns are {header}")
-        else:
+        header = [cell.strip() for cell in header]
+        if label_column in header:
             label_idx = header.index(label_column)
-    if not has_header:
-        records = chain([first], records)
+        else:
+            fault = CsvParseError(
+                f"{path}: no column named {label_column!r}; columns are {header}")
     as_nan = dict.fromkeys((missing_token, ""), "nan")
     blocks, raw_labels = [], []
-    width_fault = bad_cell = None
-    line = int(has_header)  # records before the block
+    width_fault = None
+    line = 1  # records before the block
     while block := list(islice(records, _BLOCK_ROWS)):
         if width_fault is None and set(map(len, block)) != {width}:
             i = next(i for i, row in enumerate(block) if len(row) != width)
             width_fault = CsvParseError(
                 f"{path}: expected {width} fields, got {len(block[i])}", line=line + i + 1)
-        if width_fault is None and label_fault is None and bad_cell is None:
+        if width_fault is None and fault is None:
             cells = list(map(str.strip, chain.from_iterable(block)))
             labels = []
             if label_idx is not None:
@@ -211,37 +218,32 @@ def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
                 raw_labels += labels
             values = _float_cells(cells, as_nan)
             if values is None or "" in labels or missing_token in labels:
-                bad_cell = _bad_cell(path, block, line + 1, missing_token, label_idx)
+                fault = _bad_cell(path, block, line + 1, missing_token, label_idx)
             blocks.append(values)
         line += len(block)
-    if has_header and line == 1:
+    if line == 1:
         raise CsvParseError(f"{path}: no data rows after header")
-    for fault in (width_fault, label_fault, bad_cell):
-        if fault is not None:
-            raise fault
-    values = np.concatenate(blocks).reshape(line - has_header, width - (label_idx is not None))
+    if width_fault or fault:
+        raise width_fault or fault
+    values = np.concatenate(blocks).reshape(line - 1, width - (label_idx is not None))
     labels = _code_labels(raw_labels) if label_idx is not None else None
     return MaskedMatrix(values=values, observed=~np.isnan(values)), labels
 
 
-def write_masked_csv(x: MaskedMatrix, path, missing_token: str = DEFAULT_MISSING_TOKEN,
-                     header: Sequence[str] | None = None) -> None:
-    """Write a masked matrix as CSV, one header row then one row per sample.
+def write_masked_csv(x: MaskedMatrix, path, missing_token: str = DEFAULT_MISSING_TOKEN) -> None:
+    """Write a masked matrix as CSV, the header ``x0 .. x{p-1}`` then one row
+    per sample, ``missing_token`` for every unobserved cell.
 
-    The bytes are those :func:`write_csv` writes with ``None`` for every
-    unobserved cell, built a block of rows at a time.
+    The bytes are those ``csv.writer`` writes a cell at a time, built a block
+    of rows at a time.
     """
-    if header is None:
-        header = [f"x{j}" for j in range(x.n_cols)]
-    elif len(header) != x.n_cols:
-        raise CsvParseError(f"header has {len(header)} names for {x.n_cols} columns")
     # The token as csv.writer quotes it in a row; a row of one empty cell is written "".
     if x.n_cols == 1:
         missing = _csv_line([missing_token])[:-1]
     else:
         missing = _csv_line([missing_token, ""])[:-2]
-    with Path(path).open("w", newline="") as handle:
-        handle.write(_csv_line(header))
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        handle.write(_csv_line([f"x{j}" for j in range(x.n_cols)]))
         for start in range(0, x.n_rows, _BLOCK_ROWS):
             values = x.values[start:start + _BLOCK_ROWS]
             cells = np.array(list(map(repr, values.ravel().tolist())), dtype=object)
@@ -256,12 +258,13 @@ def read_labels_csv(path) -> Assignment:
     An empty label cell raises :class:`CsvParseError` with its 1-based line.
     """
     path = Path(path)
-    _, rows = _read_rows(path, has_header=True, width=1)
+    _, rows = _read_rows(path, width=1)
     raw = [row[0].strip() for row in rows]
     if "" in raw:
         raise CsvParseError(f"{path}: missing label", line=raw.index("") + 2, column=1)
     return _code_labels(raw)
 
 
-def write_labels_csv(labels: Assignment, path, column_name: str = "label") -> None:
-    write_csv(path, [column_name], ([label] for label in labels.labels.tolist()))
+def write_labels_csv(labels: Assignment, path) -> None:
+    """Write labels as a one-column CSV headed ``label``."""
+    write_csv(path, ["label"], ([label] for label in labels.labels.tolist()))

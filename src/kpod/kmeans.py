@@ -63,7 +63,8 @@ class Centroids:
     centers: np.ndarray
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=float)
+        # A copy, so freezing it below leaves the caller's array writable.
+        centers = np.array(self.centers, dtype=float)
         if centers.ndim != 2:
             raise ShapeMismatchError(f"centers must be 2-D, got shape {centers.shape}")
         if centers.shape[0] < 1:
@@ -357,7 +358,7 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
             DuplicateCentersWarning,
             stacklevel=2,
         )
-    return Centroids(centers=data[chosen].copy())
+    return Centroids(centers=data[chosen])
 
 
 def assign_step(data, b: Centroids, bounds: RowBounds | None = None) -> Assignment:

@@ -59,12 +59,6 @@ class MaskedMatrix:
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "observed", _readonly(observed.copy()))
 
-    @classmethod
-    def from_nan(cls, values) -> "MaskedMatrix":
-        """Build from an array whose missing entries are NaN."""
-        values = np.asarray(values, dtype=float)
-        return cls(values=values, observed=np.isfinite(values))
-
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from kpod import (
 )
 from kpod import csv_io
 from kpod.cli import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 WINE_LIKE = """class,alcohol,ash,hue
 1,14.23,2.43,1.04
@@ -97,13 +103,6 @@ class TestReadMaskedCsv:
         with pytest.raises(CsvParseError):
             read_masked_csv(path)
 
-    def test_headerless(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1,2\n3,NA\n")
-        x, _ = read_masked_csv(path, has_header=False)
-        assert x.shape == (2, 2)
-        assert not x.observed[1, 1]
-
 
 class TestRoundTrip:
     def test_values_and_mask_survive_exactly(self, tmp_path):
@@ -117,21 +116,6 @@ class TestRoundTrip:
         back, _ = read_masked_csv(path)
         assert np.array_equal(back.observed, x.observed)
         assert np.array_equal(back.values, x.values)  # bitwise via repr round trip
-
-    def test_custom_header_and_token(self, tmp_path):
-        x = MaskedMatrix(values=[[1.5, 2.0]], observed=[[True, False]])
-        path = tmp_path / "data.csv"
-        write_masked_csv(x, path, missing_token="?", header=["u", "v"])
-        text = path.read_text()
-        assert text.splitlines()[0] == "u,v"
-        assert "?" in text
-        back, _ = read_masked_csv(path, missing_token="?")
-        assert np.array_equal(back.observed, x.observed)
-
-    def test_header_length_checked(self, tmp_path):
-        x = MaskedMatrix(values=[[1.0]], observed=[[True]])
-        with pytest.raises(CsvParseError):
-            write_masked_csv(x, tmp_path / "data.csv", header=["a", "b"])
 
 
 class TestLabelsCsv:
@@ -194,6 +178,62 @@ class TestRowWidth:
             assert err.value.line == 3
 
 
+# Reads a UTF-8 label file and round-trips a data file whose missing token is not ASCII.
+ENCODING_RUN = """
+import sys
+from pathlib import Path
+from kpod import read_labels_csv, read_masked_csv, write_masked_csv
+folder = Path(sys.argv[1])
+print(read_labels_csv(folder / "labels.csv").labels.tolist())
+x, _ = read_masked_csv(folder / "data.csv", missing_token="\\u2014")
+write_masked_csv(x, folder / sys.argv[2], missing_token="\\u2014")
+"""
+
+
+class TestEncoding:
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        (tmp_path / "labels.csv").write_bytes("label\ncafé\ncafe\ncafé\n".encode())
+        (tmp_path / "data.csv").write_bytes("a,b\n1.5,—\n—,2\n".encode())
+        runs = {}
+        for name, env in [("utf8", {"PYTHONUTF8": "1"}),
+                          ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0",
+                                     "PYTHONCOERCECLOCALE": "0"})]:
+            env = {**os.environ, **env, "PYTHONPATH": str(SRC)}
+            runs[name] = subprocess.run(
+                [sys.executable, "-c", ENCODING_RUN, str(tmp_path), f"{name}.csv"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert runs[name].returncode == 0, runs[name].stderr[-2000:]
+        assert runs["ascii"].stdout == runs["utf8"].stdout == "[1, 0, 1]\n"
+        want = "x0,x1\n1.5,—\n—,2.0\n".encode()
+        assert (tmp_path / "ascii.csv").read_bytes() == (tmp_path / "utf8.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("data, read, line", [
+        (b"a,b\n1,2\n3,\xe94\n", read_masked_csv, 3),
+        (b"a,b\r\n1,2\r\n3,4\r5,\xe96\r\n", read_masked_csv, 4),
+        (b"a,b\n" + b"1.5,NA\n" * 598 + b"2,\xff\n" + b"1.5,NA\n" * 200, read_masked_csv, 600),
+        (b"a,b\n" + b"1.5,NA\n" * 2498 + b"2,\xff\n" + b"1.5,NA\n", read_masked_csv, 2500),
+        (b"label\na\n\xff\nb\n", read_labels_csv, 3),
+        (b"label\na\nb\xc3", read_labels_csv, 3),
+    ], ids=["block-1", "cr-and-crlf", "block-3", "past-the-first-buffer", "labels",
+         "labels-cut-short"])
+    def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_line(self, tmp_path, data, read,
+                                                                  line):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        with pytest.raises(CsvParseError, match="can't decode byte") as err:
+            read(path)
+        assert (err.value.line, err.value.column) == (line, None)
+
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfclass,x\n2,2.5\n1,NA\n")
+        x, labels = read_masked_csv(path, label_column="class")
+        assert labels.labels.tolist() == [1, 0]
+        assert x.values.tolist() == [[2.5], [0.0]] and x.observed.tolist() == [[True], [False]]
+        path.write_bytes(b"\xef\xbb\xbflabel\nb\na\n")
+        assert read_labels_csv(path).labels.tolist() == [1, 0]
+
+
 # Floats whose repr spans the scales a data file can hold, subnormals and -0.0 included.
 FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -206,14 +246,12 @@ ODD_CELLS = ["", " NA ", "\t2 ", "  ", "nan", "-nan", "inf", "-inf", "1e999", "1
              '"7', '"1,5"', '"NA"', "#3", "١٢", "0x10", " ", "-999", "1\x002", "1\r2"]
 
 
-def _read_by_cells(path, missing_token, has_header, label_column):
+def _read_by_cells(path, missing_token, label_column):
     """``read_masked_csv`` one cell at a time; the rules any faster read must match."""
-    header, rows = csv_io._read_rows(path, has_header)
+    header, rows = csv_io._read_rows(path)
 
     label_idx: int | None = None
     if label_column is not None:
-        if header is None:
-            raise CsvParseError(f"{path}: label_column requires a header row")
         if label_column not in header:
             raise CsvParseError(
                 f"{path}: no column named {label_column!r}; columns are {header}"
@@ -224,7 +262,7 @@ def _read_by_cells(path, missing_token, has_header, label_column):
     observed = np.ones_like(values, dtype=bool)
     raw_labels: list[str] = []
     for i, row in enumerate(rows):
-        line = i + 1 + has_header
+        line = i + 2
         j_out = 0
         for j, cell in enumerate(row):
             cell = cell.strip()
@@ -263,7 +301,7 @@ def _outcome(read, path, *args):
 
 
 def _write_text(path, text):
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write(text)
 
 
@@ -279,8 +317,7 @@ def data_files(draw):
     token = draw(st.sampled_from(["NA", "?", "", "nan", "-999", " x "]))
     odd = draw(st.booleans())
     width, n = draw(st.integers(1, 4)), draw(st.integers(1, 7))
-    has_header = draw(st.booleans())
-    label_idx = draw(st.none() | st.integers(0, width - 1)) if has_header else None
+    label_idx = draw(st.none() | st.integers(0, width - 1))
     number = FLOATS.map(repr)
     # A blank line is not an empty cell: a 1-column file writes no empty cells.
     missing = st.sampled_from([c for c in ("", token) if c or width > 1] or ["0.5"])
@@ -297,7 +334,7 @@ def data_files(draw):
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
             odd_labels = ["", token, '"q"', '"a"', "b,c"]
             rows[i][j] = draw(st.sampled_from(odd_labels if j == label_idx else ODD_CELLS))
-    if "header" in kinds and has_header:
+    if "header" in kinds:
         header[draw(st.integers(0, width - 1))] = draw(
             st.sampled_from(['"class"', " class ", "", "class"]))
     if "ragged" in kinds:
@@ -315,20 +352,19 @@ def data_files(draw):
     if draw(st.integers(0, 3)) == 0:
         plain = ["a" if j == label_idx else "0.5" for j in range(width)]
         rows[:0] = [plain] * draw(st.integers(250, 300))
-    lines = ([header] if has_header else []) + rows
-    text = "".join(",".join(row) + end for row in lines) + tail
+    text = "".join(",".join(row) + end for row in [header] + rows) + tail
     label_column = "class" if label_idx is not None else draw(st.sampled_from([None, "class"]))
-    return text, (token, has_header, label_column)
+    return text, (token, label_column)
 
 
 class TestBlockRead:
     @settings(deadline=None, max_examples=400)
     @given(data_files())
-    @example(('class,x\n"q",1\na,2\n', ("NA", True, "class")))  # csv unquotes labels
-    @example(("a\r\n1\r\n\r\n2\r\n", ("NA", True, None)))  # a blank \r\n line
-    @example(("a\n\n1\n", ("NA", True, None)))  # a blank line opens a block
-    @example(("\n1\n2\n", ("NA", True, None)))  # a blank header
-    @example(("a\n1\r2\n", ("NA", True, None)))  # a lone \r ends a line
+    @example(('class,x\n"q",1\na,2\n', ("NA", "class")))  # csv unquotes labels
+    @example(("a\r\n1\r\n\r\n2\r\n", ("NA", None)))  # a blank \r\n line
+    @example(("a\n\n1\n", ("NA", None)))  # a blank line opens a block
+    @example(("\n1\n2\n", ("NA", None)))  # a blank header
+    @example(("a\n1\r2\n", ("NA", None)))  # a lone \r ends a line
     def test_equals_the_cell_loop(self, tmp_path_factory, case):
         text, args = case
         path = tmp_path_factory.mktemp("read") / "data.csv"
@@ -343,7 +379,7 @@ class TestBlockRead:
         body = "a,b" + end + ("1.5,NA" + end) * rows
         for blank, more in [(1, ""), (300, ""), (1, "3,4" + end), (300, "3,4" + end)]:
             _write_text(path, body + end * blank + more)
-            args = ("NA", True, None)
+            args = ("NA", None)
             got = _outcome(read_masked_csv, path, *args)
             assert got == _outcome(_read_by_cells, path, *args)
             assert (got[0] is CsvParseError) == bool(more)
@@ -365,7 +401,7 @@ class TestBlockRead:
         for i, text in lines.items():
             rows[i - 1] = text
         _write_text(path, "\n".join(rows) + "\n")
-        args = ("NA", True, label_column)
+        args = ("NA", label_column)
         with pytest.raises(CsvParseError, match=match) as err:
             read_masked_csv(path, *args)
         assert (err.value.line, err.value.column) == (line, column)
@@ -380,7 +416,7 @@ class TestBlockRead:
     def test_each_cell_is_parsed_once(self, tmp_path, monkeypatch, text):
         path = tmp_path / "data.csv"
         _write_text(path, text)
-        args = ("NA", True, None)
+        args = ("NA", None)
         want = _outcome(_read_by_cells, path, *args)
         calls = []
 
@@ -412,8 +448,9 @@ class TestBlockRead:
         observed = rng.random((300, 4)) > 0.2
         observed[:, 1] = True
         path = tmp_path / "labelled.csv"
-        write_masked_csv(MaskedMatrix(values=values, observed=observed), path,
-                         header=["a", "class", "b", "c"])
+        csv_io.write_csv(path, ["a", "class", "b", "c"],
+                         ([v if seen else None for v, seen in zip(*row)]
+                          for row in zip(values.tolist(), observed.tolist())))
         x, labels = read_masked_csv(path, label_column="class")
         assert labels.labels.tolist() == (values[:, 1] - 1).astype(int).tolist()
         keep = [0, 2, 3]
@@ -433,11 +470,11 @@ class TestBlockRead:
             assert cli([str(a) for a in argv]) == 0, capsys.readouterr().err
 
 
-def _write_by_cells(x, path, missing_token, header):
+def _write_by_cells(x, path, missing_token):
     """``write_masked_csv`` as one ``format_cell`` per cell through ``csv.writer``."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([f"x{j}" for j in range(x.n_cols)] if header is None else header)
+        writer.writerow([f"x{j}" for j in range(x.n_cols)])
         writer.writerows([repr(float(v)) if seen else missing_token for v, seen in zip(*row)]
                          for row in zip(x.values.tolist(), x.observed.tolist()))
 
@@ -460,14 +497,11 @@ def masked_matrices(draw):
 
 class TestBlockWrite:
     @settings(deadline=None, max_examples=300)
-    @given(masked_matrices(), st.sampled_from(["NA", "", ",", '"', " x ", "a\nb", "?"]),
-           st.data())
-    def test_bytes_equal_the_cell_writer(self, tmp_path_factory, x, token, data):
-        names = st.sampled_from(["a", "b,c", 'q"', " s ", "x\ny", "", "Σ"])
-        header = data.draw(st.none() | st.lists(names, min_size=x.n_cols, max_size=x.n_cols))
+    @given(masked_matrices(), st.sampled_from(["NA", "", ",", '"', " x ", "a\nb", "?", "—"]))
+    def test_bytes_equal_the_cell_writer(self, tmp_path_factory, x, token):
         folder = tmp_path_factory.mktemp("write")
-        write_masked_csv(x, folder / "blocks.csv", missing_token=token, header=header)
-        _write_by_cells(x, folder / "cells.csv", token, header)
+        write_masked_csv(x, folder / "blocks.csv", missing_token=token)
+        _write_by_cells(x, folder / "cells.csv", token)
         assert (folder / "blocks.csv").read_bytes() == (folder / "cells.csv").read_bytes()
         if x.n_rows and token == token.strip():
             back, _ = read_masked_csv(folder / "blocks.csv", missing_token=token)
@@ -478,5 +512,5 @@ class TestBlockWrite:
         rng = np.random.default_rng(5)
         x = MaskedMatrix(values=rng.normal(0, 1, (700, 3)), observed=rng.random((700, 3)) > 0.4)
         write_masked_csv(x, tmp_path / "blocks.csv")
-        _write_by_cells(x, tmp_path / "cells.csv", "NA", None)
+        _write_by_cells(x, tmp_path / "cells.csv", "NA")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()

@@ -104,6 +104,19 @@ class TestAssignment:
             Assignment(labels=np.array([-(2.0**63)]))
 
 
+class TestCentroids:
+    def test_the_callers_array_stays_writable(self):
+        c = np.zeros((2, 3))
+        b = Centroids(centers=c)
+        c[0, 0] = 5.0
+        assert b.centers[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            b.centers[0, 0] = 1.0
+        data = np.arange(12.0).reshape(4, 3)
+        seeded = kmeanspp_init(data, 2, seed=0).centers
+        assert not seeded.flags.writeable and not np.shares_memory(seeded, data)
+
+
 class TestObjective:
     def test_rows_on_centroids_give_zero(self):
         centers = np.array([[0.0, 0.0], [5.0, 5.0]])

@@ -59,10 +59,6 @@ class TestMaskedMatrix:
         x = MaskedMatrix(values=[[np.nan, 1.0]], observed=[[False, True]])
         assert x.values[0, 0] == 0.0
 
-    def test_from_nan(self):
-        x = MaskedMatrix.from_nan([[1.0, np.nan], [np.inf, 4.0]])
-        assert x.observed.tolist() == [[True, False], [False, True]]
-
     def test_complete(self):
         x = MaskedMatrix(values=np.ones((3, 2)), observed=np.ones((3, 2), bool))
         assert x.complete() and x.observed_fraction == 1.0

@@ -18,7 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["cli_csv", "campaign_small"])
+# fit_mcar_wide is the one workload past 1024 rows, so the one whose fits
+# run the RowBounds warm sweeps.
+@pytest.mark.parametrize("workload", ["cli_csv", "campaign_small", "fit_mcar_wide"])
 def test_traced_run_passes_its_checks(workload):
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
