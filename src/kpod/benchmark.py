@@ -21,7 +21,7 @@ from .baselines import delete_cluster, mean_impute_cluster
 from .errors import DeletionInfeasibleError, KPodError
 from .evaluation import adjusted_rand_index, rand_index
 from .csv_io import DEFAULT_MISSING_TOKEN, read_masked_csv, write_csv
-from .kmeans import Assignment, EngineSettings, check_count, check_nonnegative
+from .kmeans import Assignment, EngineSettings, check_count, check_nonnegative, is_real
 from .masked import MaskedMatrix, standardize
 from .missingness import Mechanism, MechanismSpec, MixtureSpec, ampute, perturb_dataset, simulate_mixture
 from .mm import KPodConfig, kpod_fit
@@ -127,7 +127,7 @@ class ScenarioGrid:
         for name in ("mechanisms", "rates", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        if not all(0 < r < 1 for r in self.rates):
+        if not all(is_real(r) and 0 < r < 1 for r in self.rates):
             raise ValueError("rates must lie in (0, 1)")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:

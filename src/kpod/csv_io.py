@@ -8,12 +8,16 @@ and a fixed text for a missing cell: the missing token ("NA" by default) in
 data files, an empty cell in reports. On read, a leading byte-order mark is
 ignored, a byte that is not UTF-8 is an error at its line, empty cells and the
 token are both missing, blank lines at the end of the file are ignored, and
-every row must be as wide as the header.
+every row must be as wide as the header. A label file is read by the same
+rules, its one column the label column, with only an empty cell missing.
 
-Data files are written a block of rows at a time, and read in one pass of
-``csv.reader`` a block of records at a time, whatever their quoting or line
-ends. The bytes, values and errors are those of the one-cell-at-a-time rules:
-only a block that holds a bad cell is walked cell by cell, to locate it.
+Data files are written a block of rows at a time. Data and label files are
+read in one pass of ``csv.reader`` a block of records at a time, whatever their
+quoting or line ends. The bytes, values and errors are those of the
+one-cell-at-a-time rules: only a block that holds a bad cell is walked cell by
+cell, to locate it. A fault names the file line its record starts on, except
+that a line the csv module cannot read, or a byte that is not UTF-8, is named
+by the line where the reader met it.
 """
 
 from __future__ import annotations
@@ -71,25 +75,26 @@ def _csv_line(cells: Sequence[str]) -> str:
     return out.getvalue()
 
 
-def _records(path: Path) -> Iterator[list[str]]:
-    """The records ``csv.reader`` reads from ``path``, less the blank ones at
-    the end: a blank record is held until a non-blank one follows it.
-
-    A line the csv module cannot read, such as one with a field over its size
-    limit, or a byte that is not UTF-8 raises :class:`CsvParseError` with its
-    1-based line.
+def _records(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """``(line, record)`` for each record ``csv.reader`` reads from ``path``,
+    ``line`` the 1-based file line it starts on, less the blank records at the
+    end: a blank record is held until a non-blank one follows it. A line the
+    csv module cannot read, such as one with a field over its size limit, or a
+    byte that is not UTF-8 raises :class:`CsvParseError` with its 1-based line.
     """
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        blank = 0
+        line, blank = 1, []
         try:
             for record in reader:
                 if not record:
-                    blank += 1
-                    continue
-                yield from repeat([], blank)
-                blank = 0
-                yield record
+                    blank.append(line)
+                else:
+                    if blank:
+                        yield from zip(blank, repeat([]))
+                        blank = []
+                    yield line, record
+                line = reader.line_num + 1
         except csv.Error as exc:
             raise CsvParseError(f"{path}: {exc}", line=reader.line_num) from None
         except UnicodeDecodeError:
@@ -103,33 +108,6 @@ def _records(path: Path) -> Iterator[list[str]]:
                 line = len((raw[:exc.start] + b"-").splitlines())
                 raise CsvParseError(f"{path}: {exc}", line=line) from None
             raise
-
-
-def _read_rows(path: Path, width: int | None = None) -> tuple[list[str], list[list[str]]]:
-    """The stripped header and the data rows of a CSV.
-
-    Every row, the header included, must have ``width`` fields (default: as
-    many as the first row); a row that does not, a blank line between rows
-    included, raises :class:`CsvParseError` with its 1-based line, as do the
-    lines :func:`_records` cannot read.
-    """
-    rows = list(_records(path))
-    if not rows:
-        raise CsvParseError(f"{path}: file is empty")
-    if len(rows) == 1:
-        raise CsvParseError(f"{path}: no data rows after header")
-    if width is None:
-        width = len(rows[0])
-    for line, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise CsvParseError(f"{path}: expected {width} fields, got {len(row)}", line=line)
-    return [cell.strip() for cell in rows[0]], rows[1:]
-
-
-def _code_labels(raw: list[str]) -> Assignment:
-    """Code distinct label strings as 0..k-1 in sorted order."""
-    codes = {value: code for code, value in enumerate(sorted(set(raw)))}
-    return Assignment(labels=np.array([codes[v] for v in raw]))
 
 
 def _float_cells(cells: list[str], as_nan: dict[str, str]) -> np.ndarray | None:
@@ -146,12 +124,12 @@ def _float_cells(cells: list[str], as_nan: dict[str, str]) -> np.ndarray | None:
     return values
 
 
-def _bad_cell(path: Path, rows: list[list[str]], first_line: int, missing_token: str,
+def _bad_cell(path: Path, records: Iterable[tuple[int, list[str]]], missing_token: str,
               label_idx: int | None) -> CsvParseError | None:
-    """The error of the first cell of ``rows`` (whose first row is on file line
-    ``first_line``) that is a missing label, or a feature cell neither missing
-    nor a finite number; ``None`` if there is none."""
-    for line, row in enumerate(rows, start=first_line):
+    """The error of the first cell of the ``(line, record)`` pairs ``records``
+    that is a missing label, or a feature cell neither missing nor a finite
+    number; ``None`` if there is none."""
+    for line, row in records:
         for column, cell in enumerate(map(str.strip, row), start=1):
             if cell == "" or cell == missing_token:
                 if column - 1 == label_idx:
@@ -168,31 +146,31 @@ def _bad_cell(path: Path, rows: list[list[str]], first_line: int, missing_token:
     return None
 
 
-def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
-                    label_column: str | None = None,
-                    ) -> tuple[MaskedMatrix, Assignment | None]:
-    """Read a rectangular numeric CSV, header row first, into a masked matrix.
-
-    Empty cells and cells equal to ``missing_token`` (after stripping) become
-    unobserved. If ``label_column`` names a header column, that column is
-    pulled out as ground-truth labels (distinct values coded 0..k-1 in sorted
-    order) and excluded from the features. Parse problems raise
-    :class:`CsvParseError` with a 1-based file line and column.
+def _read_table(path: Path, missing_token: str, label_column: str | None = None,
+                width: int | None = None, label_idx: int | None = None,
+                ) -> tuple[np.ndarray, Assignment | None]:
+    """The feature values of a CSV, NaN where missing, and the labels of the
+    header column named ``label_column``, else of column ``label_idx``, if
+    either is given, distinct values coded 0..k-1 in sorted order. Every
+    record, the header included, must have ``width`` fields (default: as many
+    as the header).
 
     One pass of :func:`_records` takes the file ``_BLOCK_ROWS`` records at a
     time, and one ``np.fromiter`` takes ``float`` of every cell of a block,
     the token and empty cells as ``"nan"``. A line the csv module cannot read
     raises at once. Any other fault is raised after the last line, in this
-    order: no data rows, the first row not as wide as the header, a bad
+    order: no data rows, the first record not ``width`` wide, a bad
     ``label_column``, the first bad cell.
     """
-    path = Path(path)
     records = _records(path)
-    header = next(records, None)
+    line, header = next(records, (1, None))
     if header is None:
         raise CsvParseError(f"{path}: file is empty")
     # fault: the label column's, else the first bad cell's, which it outranks.
-    width, label_idx, fault = len(header), None, None
+    width, width_fault, fault = width or len(header), None, None
+    if len(header) != width:
+        width_fault = CsvParseError(
+            f"{path}: expected {width} fields, got {len(header)}", line=line)
     if label_column is not None:
         header = [cell.strip() for cell in header]
         if label_column in header:
@@ -201,14 +179,14 @@ def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
             fault = CsvParseError(
                 f"{path}: no column named {label_column!r}; columns are {header}")
     as_nan = dict.fromkeys((missing_token, ""), "nan")
-    blocks, raw_labels = [], []
-    width_fault = None
-    line = 1  # records before the block
-    while block := list(islice(records, _BLOCK_ROWS)):
+    blocks, raw_labels, n_rows = [], [], 0
+    while numbered := list(islice(records, _BLOCK_ROWS)):
+        _, block = zip(*numbered)
+        n_rows += len(block)
         if width_fault is None and set(map(len, block)) != {width}:
-            i = next(i for i, row in enumerate(block) if len(row) != width)
+            line, row = next(pair for pair in numbered if len(pair[1]) != width)
             width_fault = CsvParseError(
-                f"{path}: expected {width} fields, got {len(block[i])}", line=line + i + 1)
+                f"{path}: expected {width} fields, got {len(row)}", line=line)
         if width_fault is None and fault is None:
             cells = list(map(str.strip, chain.from_iterable(block)))
             labels = []
@@ -218,15 +196,32 @@ def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
                 raw_labels += labels
             values = _float_cells(cells, as_nan)
             if values is None or "" in labels or missing_token in labels:
-                fault = _bad_cell(path, block, line + 1, missing_token, label_idx)
+                fault = _bad_cell(path, numbered, missing_token, label_idx)
             blocks.append(values)
-        line += len(block)
-    if line == 1:
+    if n_rows == 0:
         raise CsvParseError(f"{path}: no data rows after header")
     if width_fault or fault:
         raise width_fault or fault
-    values = np.concatenate(blocks).reshape(line - 1, width - (label_idx is not None))
-    labels = _code_labels(raw_labels) if label_idx is not None else None
+    values = np.concatenate(blocks).reshape(n_rows, width - (label_idx is not None))
+    if label_idx is None:
+        return values, None
+    codes = {value: code for code, value in enumerate(sorted(set(raw_labels)))}
+    return values, Assignment(labels=np.array([codes[v] for v in raw_labels]))
+
+
+def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
+                    label_column: str | None = None,
+                    ) -> tuple[MaskedMatrix, Assignment | None]:
+    """Read a rectangular numeric CSV, header row first, into a masked matrix.
+
+    Empty cells and cells equal to ``missing_token`` (after stripping) become
+    unobserved. If ``label_column`` names a header column, that column is
+    pulled out as ground-truth labels (distinct values coded 0..k-1 in sorted
+    order) and excluded from the features. A fault raises
+    :class:`CsvParseError` with the 1-based file line its record starts on
+    and, for a bad cell, its column, in the order :func:`_read_table` gives.
+    """
+    values, labels = _read_table(Path(path), missing_token, label_column)
     return MaskedMatrix(values=values, observed=~np.isnan(values)), labels
 
 
@@ -255,14 +250,12 @@ def write_masked_csv(x: MaskedMatrix, path, missing_token: str = DEFAULT_MISSING
 def read_labels_csv(path) -> Assignment:
     """Read a single-column label CSV (header row, then one label per row).
 
-    An empty label cell raises :class:`CsvParseError` with its 1-based line.
+    The file follows the data-file rules of :func:`read_masked_csv`, its one
+    column the label column, with only an empty cell missing, so ``NA`` is a
+    label like any other. A missing label raises :class:`CsvParseError` with
+    the 1-based file line its record starts on.
     """
-    path = Path(path)
-    _, rows = _read_rows(path, width=1)
-    raw = [row[0].strip() for row in rows]
-    if "" in raw:
-        raise CsvParseError(f"{path}: missing label", line=raw.index("") + 2, column=1)
-    return _code_labels(raw)
+    return _read_table(Path(path), "", width=1, label_idx=0)[1]
 
 
 def write_labels_csv(labels: Assignment, path) -> None:

@@ -106,9 +106,14 @@ class EngineSettings:
 
 def _check_settings(max_iter, tol, n_init) -> None:
     check_count("max_iter", max_iter)
-    if not tol > 0:
+    if not is_real(tol) or not tol > 0:
         raise ValueError("tol must be > 0")
     check_count("n_init", n_init)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is an int or a float, numpy's included: one a range check can compare."""
+    return isinstance(value, (int, float, np.integer, np.floating))
 
 
 def _is_integer(value) -> bool:
@@ -124,7 +129,7 @@ def check_count(name: str, value, minimum: int = 1) -> None:
 
 def check_nonnegative(name: str, value) -> None:
     """Raise ValueError unless ``value`` is a finite real >= 0. A bool is not one."""
-    if isinstance(value, bool) or not 0 <= value < math.inf:
+    if isinstance(value, bool) or not is_real(value) or not 0 <= value < math.inf:
         raise ValueError(f"{name} must be a finite number >= 0")
 
 

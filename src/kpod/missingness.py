@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, QuantileFallbackWarning
-from .kmeans import Assignment, check_count, check_nonnegative
+from .kmeans import Assignment, check_count, check_nonnegative, is_real
 from .masked import MaskedMatrix
 
 __all__ = [
@@ -46,7 +46,7 @@ class Mechanism(enum.Enum):
     def parse(cls, name: str) -> "Mechanism":
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # not a string, or not a mechanism name
             raise InfeasibleError(
                 f"unknown mechanism {name!r}; expected one of "
                 + ", ".join(m.value for m in cls)
@@ -63,7 +63,7 @@ class MechanismSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.target_rate < 1:
+        if not is_real(self.target_rate) or not 0 < self.target_rate < 1:
             raise ValueError(f"target_rate must be in (0, 1), got {self.target_rate}")
         if self.kind is Mechanism.MAR:
             if not self.mar_columns:

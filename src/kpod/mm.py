@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateRowError
 from .kmeans import (_BLOCK_ROWS, Assignment, Centroids, EngineSettings, KMeansResult, RowBounds,
-                     check_count, check_k, kmeans_objective, lloyd)
+                     check_count, check_k, is_real, kmeans_objective, lloyd)
 from .masked import MaskedMatrix, fill_unobserved, observed_means
 
 __all__ = ["KPodConfig", "KPodResult", "init_fill", "majorization_value", "kpod_fit"]
@@ -35,7 +35,7 @@ class KPodConfig:
     def __post_init__(self):
         check_count("k", self.k)
         check_count("max_mm_iter", self.max_mm_iter)
-        if not self.mm_tol > 0:
+        if not is_real(self.mm_tol) or not self.mm_tol > 0:
             raise ValueError("mm_tol must be > 0")
 
 

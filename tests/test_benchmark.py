@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from kpod import (
+    EngineSettings,
     FileDataset,
+    InfeasibleError,
+    KPodConfig,
     KPodError,
     Mechanism,
     MechanismSpec,
@@ -15,6 +18,8 @@ from kpod import (
     aggregate_rows,
     dataset_for_trial,
     derive_seed,
+    lloyd,
+    perturb_dataset,
     run_benchmark,
     write_report,
 )
@@ -217,6 +222,27 @@ class TestConfigParsing:
         for bad in (dict(center_sd=float("nan")), dict(noise_variance=float("nan"))):
             with pytest.raises(ValueError):
                 MixtureSpec(n=10, p=2, k=2, **bad)
+
+    @pytest.mark.parametrize("build, error, name", [
+        (lambda: KPodConfig(k=2, mm_tol="x"), ValueError, "mm_tol"),
+        (lambda: KPodConfig(k=2, mm_tol=None), ValueError, "mm_tol"),
+        (lambda: EngineSettings(tol="x"), ValueError, "tol"),
+        (lambda: lloyd(np.zeros((4, 2)), 1, tol=None), ValueError, "tol"),
+        (lambda: MixtureSpec(n=10, p=2, k=2, center_sd="a"), ValueError, "center_sd"),
+        (lambda: MixtureSpec(n=10, p=2, k=2, noise_variance=None), ValueError, "noise_variance"),
+        (lambda: MechanismSpec(kind=Mechanism.MCAR, target_rate="0.2"), ValueError, "target_rate"),
+        (lambda: MechanismSpec(kind=Mechanism.MCAR, target_rate=None), ValueError, "target_rate"),
+        (lambda: perturb_dataset(np.ones((3, 2)), "a"), ValueError, "rel_sd"),
+        (lambda: tiny_grid(rates=("0.2",)), ValueError, "rates"),
+        (lambda: tiny_grid(mm_tol="x"), ValueError, "mm_tol"),
+        (lambda: Mechanism.parse(3), InfeasibleError, "mechanism"),
+    ], ids=["mm_tol-str", "mm_tol-none", "tol-str", "lloyd-tol-none", "center_sd-str",
+            "noise_variance-none", "target_rate-str", "target_rate-none", "rel_sd-str",
+            "rates-str", "grid-mm_tol-str", "mechanism-int"])
+    def test_a_setting_of_the_wrong_type_raises_the_settings_error(self, build, error, name):
+        # The error a value out of range raises, naming the setting, not a TypeError.
+        with pytest.raises(error, match=rf"\b{name}\b"):
+            build()
 
     @pytest.mark.parametrize("key", [
         "k", "mechanisms", "rates", "trials", "base_seed", "mixture.n", "mixture.p", "mixture.k",

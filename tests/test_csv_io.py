@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,51 @@ class TestRoundTrip:
         assert np.array_equal(back.values, x.values)  # bitwise via repr round trip
 
 
+def _code_labels(raw):
+    """Distinct label strings coded 0..k-1 in sorted order."""
+    codes = {value: code for code, value in enumerate(sorted(set(raw)))}
+    return Assignment(labels=np.array([codes[v] for v in raw]))
+
+
+def _read_labels_by_rows(path):
+    """``read_labels_csv`` as it was before it took the data-file path, when a
+    fault's line counted records; on files of one-line records that is the line."""
+    rows = [record for _, record in _file_records(path)]
+    if not rows:
+        raise CsvParseError(f"{path}: file is empty")
+    if len(rows) == 1:
+        raise CsvParseError(f"{path}: no data rows after header")
+    for line, row in enumerate(rows, start=1):
+        if len(row) != 1:
+            raise CsvParseError(f"{path}: expected 1 fields, got {len(row)}", line=line)
+    raw = [row[0].strip() for row in rows[1:]]
+    if "" in raw:
+        raise CsvParseError(f"{path}: missing label", line=raw.index("") + 2, column=1)
+    return _code_labels(raw)
+
+
+def _label_outcome(read, path):
+    try:
+        return read(path).labels.tolist()
+    except CsvParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+@st.composite
+def label_files(draw):
+    """The text of a label file of one-line records, maybe with a byte-order
+    mark, a header not one field wide, empty or quoted labels, ragged rows,
+    blank lines, ``\r\n`` or ``\r`` line ends, or 250-300 plain rows first."""
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = draw(st.sampled_from(["label", " label ", '"label"', "NA", "", "label,extra"]))
+    cells = ["a", "b", " c ", "NA", "1", "é", '"q"', '"x,y"', '""', " ", "", "b,c"]
+    lines = draw(st.lists(st.sampled_from(cells), max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        lines[:0] = ["a"] * draw(st.integers(250, 300))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join([header] + lines) + draw(st.sampled_from(["", end, end * 2]))
+
+
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):
         labels = Assignment(labels=np.array([2, 0, 1, 1, 0]))
@@ -141,12 +187,53 @@ class TestLabelsCsv:
                 read_labels_csv(path)
             assert info.value.line == 3
 
+    def test_label_reads_do_not_go_through_the_data_reader(self, tmp_path, monkeypatch):
+        # A wrapper of read_masked_csv, such as a tracer, then counts data reads only.
+        def refuse(*args, **kwargs):
+            raise AssertionError("read_masked_csv called")
+
+        monkeypatch.setattr(csv_io, "read_masked_csv", refuse)
+        path = tmp_path / "labels.csv"
+        path.write_text("label\nb\na\nNA\n")
+        assert read_labels_csv(path).labels.tolist() == [2, 1, 0]
+
+    @settings(deadline=None, max_examples=300)
+    @given(label_files())
+    def test_one_line_records_read_as_before(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("labels") / "labels.csv"
+        _write_text(path, text)
+        assert _label_outcome(read_labels_csv, path) == _label_outcome(_read_labels_by_rows, path)
+
     def test_needs_rows(self, tmp_path):
         path = tmp_path / "labels.csv"
         for text in ["", "label\n", "label\n\n"]:
             path.write_text(text)
             with pytest.raises(CsvParseError):
                 read_labels_csv(path)
+
+
+def _read_labelled(path):
+    return read_masked_csv(path, label_column="class")
+
+
+class TestFaultLines:
+    # A fault names the file line its record starts on, past records that span lines.
+    @pytest.mark.parametrize("text, read, match, line, column", [
+        ('a,b\n"1\n",2\n3\n', read_masked_csv, "expected 2 fields, got 1", 4, None),
+        ('a,b\n" 1\n",3\n4,oops\n', read_masked_csv, "non-numeric cell 'oops'", 4, 2),
+        ('class,b\n"a\nb",3\n,4\n', _read_labelled, "missing label", 4, 1),
+        ('label\n"a\nb"\n\nc\n', read_labels_csv, "expected 1 fields, got 0", 4, None),
+        ('label\r\n"a\r\nb"\r\nc\r\n""\r\n', read_labels_csv, "missing label", 5, 1),
+        ('a,b\n"\n",1\n"2\n",oops\n', read_masked_csv, "non-numeric cell 'oops'", 4, 2),
+        ('a,b\n"\n",1\n3,"x\ny"\n', read_masked_csv, "non-numeric cell 'x", 4, 2),
+    ], ids=["width", "cell", "label", "label-file-blank-line", "label-file-empty-label",
+            "cell-on-a-later-line-of-its-record", "cell-spanning-lines"])
+    def test_after_a_record_that_spans_lines(self, tmp_path, text, read, match, line, column):
+        path = tmp_path / "data.csv"
+        _write_text(path, text)
+        with pytest.raises(CsvParseError, match=match) as err:
+            read(path)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 class TestRowWidth:
@@ -214,8 +301,9 @@ class TestEncoding:
         (b"a,b\n" + b"1.5,NA\n" * 2498 + b"2,\xff\n" + b"1.5,NA\n", read_masked_csv, 2500),
         (b"label\na\n\xff\nb\n", read_labels_csv, 3),
         (b"label\na\nb\xc3", read_labels_csv, 3),
+        (b'a,b\n"1\n",2\n3,\xe94\n', read_masked_csv, 4),
     ], ids=["block-1", "cr-and-crlf", "block-3", "past-the-first-buffer", "labels",
-         "labels-cut-short"])
+         "labels-cut-short", "after-a-record-of-two-lines"])
     def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_line(self, tmp_path, data, read,
                                                                   line):
         path = tmp_path / "data.csv"
@@ -244,11 +332,41 @@ FLOATS = st.one_of(
 # Cells the block read must reject or read as the cell loop does.
 ODD_CELLS = ["", " NA ", "\t2 ", "  ", "nan", "-nan", "inf", "-inf", "1e999", "1_0", '"1.5"',
              '"7', '"1,5"', '"NA"', "#3", "١٢", "0x10", " ", "-999", "1\x002", "1\r2"]
+# Quoted cells that hold a line break, as they are written in a file.
+MULTILINE_CELLS = ['"1.5\n"', '"\r\n2"', '"\n"', '"NA\r"', '"x\ny"']
+
+
+def _file_records(path):
+    """``(line, record)`` for every record of ``path`` but the blank ones at the
+    end, each line counted from the line breaks in the fields before it."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            records = list(reader)
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: {exc}", line=reader.line_num) from None
+    while records and not records[-1]:
+        records.pop()
+    numbered, line = [], 1
+    for record in records:
+        numbered.append((line, record))
+        line += 1 + sum(len(re.findall("\r\n|\r|\n", cell)) for cell in record)
+    return numbered
 
 
 def _read_by_cells(path, missing_token, label_column):
     """``read_masked_csv`` one cell at a time; the rules any faster read must match."""
-    header, rows = csv_io._read_rows(path)
+    records = _file_records(path)
+    if not records:
+        raise CsvParseError(f"{path}: file is empty")
+    if len(records) == 1:
+        raise CsvParseError(f"{path}: no data rows after header")
+    width = len(records[0][1])
+    for line, row in records:
+        if len(row) != width:
+            raise CsvParseError(f"{path}: expected {width} fields, got {len(row)}", line=line)
+    header = [cell.strip() for cell in records[0][1]]
+    rows = records[1:]
 
     label_idx: int | None = None
     if label_column is not None:
@@ -258,11 +376,10 @@ def _read_by_cells(path, missing_token, label_column):
             )
         label_idx = header.index(label_column)
 
-    values = np.zeros((len(rows), len(rows[0]) - (label_idx is not None)), dtype=float)
+    values = np.zeros((len(rows), width - (label_idx is not None)), dtype=float)
     observed = np.ones_like(values, dtype=bool)
     raw_labels: list[str] = []
-    for i, row in enumerate(rows):
-        line = i + 2
+    for i, (line, row) in enumerate(rows):
         j_out = 0
         for j, cell in enumerate(row):
             cell = cell.strip()
@@ -287,7 +404,7 @@ def _read_by_cells(path, missing_token, label_column):
                 values[i, j_out] = parsed
             j_out += 1
 
-    labels = csv_io._code_labels(raw_labels) if label_idx is not None else None
+    labels = _code_labels(raw_labels) if label_idx is not None else None
     return MaskedMatrix(values=values, observed=observed), labels
 
 
@@ -312,7 +429,8 @@ def data_files(draw):
     The file holds numbers, the token and empty cells, maybe after 250-300
     plain rows so that what follows crosses a block edge. Some files also
     have ``\r\n`` line ends, blank lines at the end, up to two odd cells or
-    labels, a ragged row, a blank line between rows or an odd header name.
+    labels, a quoted cell that holds a line break, a ragged row, a blank line
+    between rows or an odd header name.
     """
     token = draw(st.sampled_from(["NA", "?", "", "nan", "-999", " x "]))
     odd = draw(st.booleans())
@@ -327,13 +445,17 @@ def data_files(draw):
             for _ in range(n)]
     header = ["class" if j == label_idx else f"c{j}" for j in range(width)]
     end, tail = "\n", ""
-    kinds = draw(st.sets(st.sampled_from(["cells", "header", "ragged", "crlf", "tail", "blank"]),
-                         max_size=2)) if odd else set()
+    kinds = draw(st.sets(st.sampled_from(["cells", "multiline", "header", "ragged", "crlf", "tail",
+                                          "blank"]), max_size=2)) if odd else set()
     if "cells" in kinds:
         for _ in range(draw(st.integers(1, 2))):
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
             odd_labels = ["", token, '"q"', '"a"', "b,c"]
             rows[i][j] = draw(st.sampled_from(odd_labels if j == label_idx else ODD_CELLS))
+    if "multiline" in kinds:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
+        broken = ['"a\nb"', '"\n"', '" c\r\n"'] if j == label_idx else MULTILINE_CELLS
+        rows[i][j] = draw(st.sampled_from(broken))
     if "header" in kinds:
         header[draw(st.integers(0, width - 1))] = draw(
             st.sampled_from(['"class"', " class ", "", "class"]))
@@ -365,6 +487,8 @@ class TestBlockRead:
     @example(("a\n\n1\n", ("NA", None)))  # a blank line opens a block
     @example(("\n1\n2\n", ("NA", None)))  # a blank header
     @example(("a\n1\r2\n", ("NA", None)))  # a lone \r ends a line
+    @example(('a,b\n"1\n",2\n3,oops\n', ("NA", None)))  # a fault after a record of two lines
+    @example(('class,x\n"a\r\nb",1\n,2\n', ("NA", "class")))
     def test_equals_the_cell_loop(self, tmp_path_factory, case):
         text, args = case
         path = tmp_path_factory.mktemp("read") / "data.csv"
