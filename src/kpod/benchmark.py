@@ -5,6 +5,10 @@ with its grid coordinates, so results are identical no matter how the work is
 scheduled or how many workers execute it. The data and mask for a trial are
 derived without the method index, so methods compared within a trial see the
 same amputed dataset (paired comparisons).
+
+A failed run is a row, and a trial whose data cannot be amputed or
+standardized gives every method an error row; only a population that cannot
+be read ends the campaign.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import delete_cluster, mean_impute_cluster
-from .errors import DeletionInfeasibleError, KPodError
+from .errors import DeletionInfeasibleError, InfeasibleError, KPodError
 from .evaluation import adjusted_rand_index, rand_index
-from .csv_io import DEFAULT_MISSING_TOKEN, read_masked_csv, write_csv
+from .csv_io import read_masked_csv, write_csv
 from .kmeans import Assignment, EngineSettings, check_count, check_nonnegative, is_real
 from .masked import MaskedMatrix, standardize
 from .missingness import Mechanism, MechanismSpec, MixtureSpec, ampute, perturb_dataset, simulate_mixture
@@ -44,11 +48,11 @@ METHODS = ("kpod", "mean_impute", "delete")
 @dataclass(frozen=True)
 class FileDataset:
     """A complete CSV on disk used as the benchmark population; runs are
-    scored against the true classes in its ``label_column``."""
+    scored against the true classes in its ``label_column``. Only an empty
+    cell is missing, as in a label file, so a class may be named ``NA``."""
 
     path: str
     label_column: str
-    missing_token: str = DEFAULT_MISSING_TOKEN
 
     def __post_init__(self):
         if not isinstance(self.label_column, str):
@@ -156,13 +160,12 @@ class ScenarioGrid:
             dataset = FileDataset(
                 path=str(_required(d, "path", "dataset")),
                 label_column=_required(d, "label_column", "dataset"),
-                missing_token=str(d.pop("missing_token", FileDataset.missing_token)),
             )
             _no_more_keys(d, "dataset")
         else:
             raise KPodError("config needs either a 'mixture' or a 'dataset' section")
 
-        mar_columns = _array(raw, "mar_columns", ())
+        mar_columns = [_count(c) for c in _array(raw, "mar_columns", ())]
         mechanisms = []
         for name in _array(raw, "mechanisms"):
             kind = Mechanism.parse(str(name))
@@ -225,34 +228,25 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _population(grid: ScenarioGrid, seed: int) -> tuple[np.ndarray, Assignment]:
-    """Complete values plus ground-truth labels for one trial."""
+def dataset_for_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, trial: int,
+                      ) -> tuple[np.ndarray, Assignment, MaskedMatrix]:
+    """Build exactly the (values, labels, amputed matrix) a trial uses.
+
+    Deterministic in the grid coordinates, and independent of which methods
+    run, so paired method comparisons share data and tests can rebuild what
+    the runner saw. Data that cannot be amputed raises ``InfeasibleError``.
+    """
+    data_seed = derive_seed(grid.base_seed, "data", mech_index, rate_index, trial)
     if isinstance(grid.dataset, MixtureSpec):
-        values, labels = simulate_mixture(replace(grid.dataset, seed=seed))
+        values, labels = simulate_mixture(replace(grid.dataset, seed=data_seed))
     else:
-        x, labels = read_masked_csv(
-            grid.dataset.path,
-            missing_token=grid.dataset.missing_token,
-            label_column=grid.dataset.label_column,
-        )
+        x, labels = read_masked_csv(grid.dataset.path, missing_token="",
+                                    label_column=grid.dataset.label_column)
         if not x.complete():
             raise KPodError("benchmark source data must be complete")
         values = x.values.copy()
     if grid.perturb_rel_sd > 0:
-        values = perturb_dataset(values, grid.perturb_rel_sd, seed=derive_seed(seed, "perturb"))
-    return values, labels
-
-
-def dataset_for_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, trial: int,
-                      ) -> tuple[np.ndarray, Assignment, MaskedMatrix]:
-    """Reconstruct exactly the (values, labels, amputed matrix) a trial used.
-
-    Deterministic in the grid coordinates, and independent of which methods
-    run, so paired method comparisons share data and tests can rebuild what
-    the runner saw.
-    """
-    data_seed = derive_seed(grid.base_seed, "data", mech_index, rate_index, trial)
-    values, labels = _population(grid, data_seed)
+        values = perturb_dataset(values, grid.perturb_rel_sd, seed=derive_seed(data_seed, "perturb"))
     mech = replace(
         grid.mechanisms[mech_index],
         target_rate=grid.rates[rate_index],
@@ -263,36 +257,39 @@ def dataset_for_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, tria
 
 def _run_trial(grid: ScenarioGrid, mech_index: int, rate_index: int, trial: int,
                measure_time: bool) -> list[ReportRow]:
-    _, labels, masked = dataset_for_trial(grid, mech_index, rate_index, trial)
     # One clustering seed per trial, shared by every method: the methods then
     # differ only in how they treat the missing entries, which keeps
     # per-trial comparisons paired.
     cfg = grid.kpod_config(seed=derive_seed(grid.base_seed, "run", mech_index, rate_index, trial))
-    failure = None
+    achieved_rate = trial_fault = None
     try:
+        _, labels, masked = dataset_for_trial(grid, mech_index, rate_index, trial)
+        achieved_rate = 1.0 - masked.observed_fraction
         x = standardize(masked)[0] if grid.standardize else masked
-    except KPodError as exc:
-        failure = exc  # every method of the trial reports it
+    except InfeasibleError as exc:
+        trial_fault = type(exc)  # every method of the trial reports it
     rows = []
     for method in grid.methods:
         common = dict(mechanism=grid.mechanisms[mech_index].kind.value,
                       target_rate=grid.rates[rate_index],
-                      achieved_rate=1.0 - masked.observed_fraction, method=method, trial=trial)
-        try:
-            if failure is not None:
-                raise failure
-            start = time.perf_counter()
-            if method == "kpod":
-                fit = kpod_fit(x, cfg)
-            elif method == "mean_impute":
-                fit = mean_impute_cluster(x, cfg.k, seed=cfg.seed, engine=cfg.inner)
-            else:
-                fit = delete_cluster(x, cfg.k, seed=cfg.seed, engine=cfg.inner)[0]
-            seconds = time.perf_counter() - start
-        except KPodError as exc:
+                      achieved_rate=achieved_rate, method=method, trial=trial)
+        fault = trial_fault
+        if fault is None:
+            try:
+                start = time.perf_counter()
+                if method == "kpod":
+                    fit = kpod_fit(x, cfg)
+                elif method == "mean_impute":
+                    fit = mean_impute_cluster(x, cfg.k, seed=cfg.seed, engine=cfg.inner)
+                else:
+                    fit = delete_cluster(x, cfg.k, seed=cfg.seed, engine=cfg.inner)[0]
+                seconds = time.perf_counter() - start
+            except KPodError as exc:
+                fault = type(exc)  # not exc: its traceback would hold this frame in a cycle
+        if fault is not None:
             # Deletion with no complete column is a valid outcome, not a fault.
-            status = ("infeasible" if isinstance(exc, DeletionInfeasibleError)
-                      else f"error:{type(exc).__name__}")
+            status = ("infeasible" if issubclass(fault, DeletionInfeasibleError)
+                      else f"error:{fault.__name__}")
             rows.append(ReportRow(**common, rand=None, adjusted_rand=None,
                                   seconds=None, mm_iterations=None, status=status))
             continue

@@ -4,6 +4,7 @@ proportional seeding, deterministic under a supplied seed."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -112,8 +113,8 @@ def _check_settings(max_iter, tol, n_init) -> None:
 
 
 def is_real(value) -> bool:
-    """Whether ``value`` is an int or a float, numpy's included: one a range check can compare."""
-    return isinstance(value, (int, float, np.integer, np.floating))
+    """Whether ``value`` is an int or a float, numpy's included, but not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _is_integer(value) -> bool:
@@ -128,8 +129,8 @@ def check_count(name: str, value, minimum: int = 1) -> None:
 
 
 def check_nonnegative(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite real >= 0. A bool is not one."""
-    if isinstance(value, bool) or not is_real(value) or not 0 <= value < math.inf:
+    """Raise ValueError unless ``value`` is a real from 0 to the largest float."""
+    if not is_real(value) or not 0 <= value <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number >= 0")
 
 

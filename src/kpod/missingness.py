@@ -68,12 +68,9 @@ class MechanismSpec:
         if self.kind is Mechanism.MAR:
             if not self.mar_columns:
                 raise ValueError("MAR requires a non-empty mar_columns")
-            # JSON may write column 2 as 2.0; 1.5 and true name no column.
-            columns = [int(c) if isinstance(c, float) and c.is_integer() else c
-                       for c in self.mar_columns]
-            for c in columns:
+            for c in self.mar_columns:
                 check_count("mar_columns", c, minimum=0)
-            object.__setattr__(self, "mar_columns", tuple(int(c) for c in columns))
+            object.__setattr__(self, "mar_columns", tuple(int(c) for c in self.mar_columns))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kpod import (
+    CsvParseError,
     EngineSettings,
     FileDataset,
     InfeasibleError,
@@ -25,6 +28,13 @@ from kpod import (
 )
 from kpod.benchmark import summary_path_for
 from kpod.cli import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# A MAR rate of 0.4 over 120x8 needs 384 cells, but MAR columns 0 and 1 hold
+# 240: the campaign's MAR@0.4 trials cannot be amputed, every other cell can.
+UNAMPUTABLE_CELL = {"mixture": {"n": 120, "p": 8, "k": 3}, "k": 3, "mechanisms": ["mcar", "mar"],
+                    "mar_columns": [0, 1], "rates": [0.2, 0.4], "trials": 2, "base_seed": 5}
 
 
 def tiny_grid(**overrides):
@@ -95,25 +105,49 @@ class TestRunner:
         rows = run_benchmark(tiny_grid(trials=2), workers=1, measure_time=False)
         assert all(abs(r.achieved_rate - 0.2) <= 0.01 for r in rows)
 
-    def test_file_dataset_grid(self, tmp_path):
+    @staticmethod
+    def write_population(path, classes=("1", "2")):
         rng = np.random.default_rng(5)
         centers = np.array([[0.0] * 4, [25.0] * 4])
         labels = np.repeat([0, 1], 15)
         values = centers[labels] + rng.normal(0, 1, (30, 4))
-        data_path = tmp_path / "pop.csv"
-        with data_path.open("w") as handle:
+        with path.open("w") as handle:
             handle.write("class,a,b,c,d\n")
             for label, row in zip(labels, values):
-                handle.write(",".join([str(label + 1)] + [repr(float(v)) for v in row]) + "\n")
+                handle.write(",".join([classes[label]] + [repr(float(v)) for v in row]) + "\n")
+
+    def test_file_dataset_grid(self, tmp_path):
+        data_path = tmp_path / "pop.csv"
         grid = tiny_grid(
             dataset=FileDataset(path=str(data_path), label_column="class"),
             k=2,
             trials=2,
             methods=("kpod", "mean_impute"),
         )
-        rows = run_benchmark(grid, workers=1, measure_time=False)
-        assert all(r.status == "ok" for r in rows)
-        assert all(r.rand == 1.0 for r in rows)  # trivially separable pair
+        # A class named NA is a class: only an empty cell is missing.
+        for classes in (("1", "2"), ("EU", "NA")):
+            self.write_population(data_path, classes)
+            rows = run_benchmark(grid, workers=1, measure_time=False)
+            assert all(r.status == "ok" for r in rows)
+            assert all(r.rand == 1.0 for r in rows)  # trivially separable pair
+
+    @pytest.mark.parametrize("cell, error, message", [
+        ("NA", CsvParseError, r"non-numeric cell 'NA' \(line 4, column 3\)"),
+        ("", KPodError, "benchmark source data must be complete"),
+        (None, OSError, "pop.csv"),
+    ], ids=["NA-cell", "empty-cell", "no-file"])
+    def test_a_population_that_cannot_be_read_ends_the_run(self, tmp_path, cell, error, message):
+        # Every trial would fail alike, so the campaign stops with one error.
+        data_path = tmp_path / "pop.csv"
+        if cell is not None:
+            self.write_population(data_path)
+            lines = data_path.read_text().splitlines(keepends=True)
+            fields = lines[3].split(",")
+            lines[3] = ",".join(fields[:2] + [cell] + fields[3:])
+            data_path.write_text("".join(lines))
+        grid = tiny_grid(dataset=FileDataset(path=str(data_path), label_column="class"), k=2)
+        with pytest.raises(error, match=message):
+            run_benchmark(grid, workers=1, measure_time=False)
 
     def test_file_dataset_requires_labels(self):
         # Runs are scored against the true classes, so a population without
@@ -125,16 +159,46 @@ class TestRunner:
 
     def test_unstandardizable_trial_gives_error_rows(self):
         # Squared deviations near 1e200 overflow, so standardize raises for
-        # every trial; the campaign reports that per method and goes on.
-        grid = tiny_grid(dataset=MixtureSpec(n=40, p=6, k=3, center_sd=1e200), trials=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = run_benchmark(grid, workers=1)
-        assert [(r.trial, r.method) for r in rows] == [
-            (t, m) for t in range(2) for m in ("kpod", "mean_impute", "delete")]
-        assert all(r.status == "error:InfeasibleError" and r.rand is None
-                   and r.seconds is None for r in rows)
-        assert run_benchmark(grid, workers=2) == rows
+        # every trial; a MAR rate of 0.4 needs 96 cells of a 40x6 matrix, more
+        # than column 0 holds, so amputation raises. The campaign reports
+        # either per method and goes on.
+        unamputable = MechanismSpec(kind=Mechanism.MAR, target_rate=0.5, mar_columns=(0,))
+        for overrides, amputed in (
+                (dict(dataset=MixtureSpec(n=40, p=6, k=3, center_sd=1e200)), True),
+                (dict(mechanisms=(unamputable,), rates=(0.4,)), False)):
+            grid = tiny_grid(**overrides, trials=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = run_benchmark(grid, workers=1)
+            assert [(r.trial, r.method) for r in rows] == [
+                (t, m) for t in range(2) for m in ("kpod", "mean_impute", "delete")]
+            assert all(r.status == "error:InfeasibleError" and r.rand is None
+                       and r.seconds is None for r in rows)
+            # An amputed trial reports its rate; one that could not be amputed, none.
+            assert all((r.achieved_rate is not None) == amputed for r in rows)
+            assert run_benchmark(grid, workers=2) == rows
+
+    def test_a_cell_that_cannot_be_amputed_is_a_row(self, tmp_path, capsys):
+        grid = ScenarioGrid.from_dict(UNAMPUTABLE_CELL)
+        rows = run_benchmark(grid, workers=1, measure_time=False)
+        assert run_benchmark(grid, workers=2, measure_time=False) == rows
+        assert len(rows) == 24 and sum(r.status == "ok" for r in rows) == 14
+        failed = [r for r in rows if r.mechanism == "mar" and r.target_rate == 0.4]
+        assert len(failed) == 6 and all(
+            r.status == "error:InfeasibleError" and r.achieved_rate is None for r in failed)
+        # MCAR's seeds do not depend on the MAR columns.
+        wide = ScenarioGrid.from_dict({**UNAMPUTABLE_CELL, "mar_columns": list(range(8))})
+        mcar = [r for r in rows if r.mechanism == "mcar"]
+        assert mcar == [r for r in run_benchmark(wide, workers=1, measure_time=False)
+                        if r.mechanism == "mcar"]
+
+        config, report = tmp_path / "grid.json", tmp_path / "report.csv"
+        config.write_text(json.dumps(UNAMPUTABLE_CELL))
+        assert cli(["benchmark", "--config", str(config), "--output", str(report),
+                    "--no-timing"]) == 0
+        assert "24 runs (14 ok)" in capsys.readouterr().out
+        assert len(report.read_text().splitlines()) == 25
+        assert len(summary_path_for(report).read_text().splitlines()) == 13
 
     def test_perturbation_changes_data_per_trial(self):
         grid = tiny_grid(perturb_rel_sd=0.1, trials=2, methods=("kpod",))
@@ -159,17 +223,20 @@ class TestConfigParsing:
         assert grid.mechanisms[1].kind is Mechanism.NMAR
 
     def test_mar_columns_applied(self):
-        grid = ScenarioGrid.from_dict({
-            "mixture": {"n": 20, "p": 6, "k": 2},
-            "k": 2,
-            "mechanisms": ["mar"],
-            "mar_columns": [0, 3],
-            "rates": [0.1],
-            "methods": ["kpod"],
-            "trials": 1,
-            "base_seed": 1,
-        })
-        assert grid.mechanisms[0].mar_columns == (0, 3)
+        # JSON may write column 3 as 3.0, as it may any count.
+        for columns in ([0, 3], [0.0, 3.0]):
+            grid = ScenarioGrid.from_dict({
+                "mixture": {"n": 20, "p": 6, "k": 2},
+                "k": 2,
+                "mechanisms": ["mar"],
+                "mar_columns": columns,
+                "rates": [0.1],
+                "methods": ["kpod"],
+                "trials": 1,
+                "base_seed": 1,
+            })
+            assert grid.mechanisms[0].mar_columns == (0, 3)
+            assert all(type(c) is int for c in grid.mechanisms[0].mar_columns)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(KPodError):
@@ -236,11 +303,23 @@ class TestConfigParsing:
         (lambda: tiny_grid(rates=("0.2",)), ValueError, "rates"),
         (lambda: tiny_grid(mm_tol="x"), ValueError, "mm_tol"),
         (lambda: Mechanism.parse(3), InfeasibleError, "mechanism"),
+        (lambda: EngineSettings(tol=True), ValueError, "tol"),
+        (lambda: KPodConfig(k=2, mm_tol=True), ValueError, "mm_tol"),
+        (lambda: lloyd(np.zeros((4, 2)), 2, tol=True), ValueError, "tol"),
+        (lambda: MixtureSpec(n=10, p=2, k=2, center_sd=10**400), ValueError, "center_sd"),
+        (lambda: MixtureSpec(n=10, p=2, k=2, noise_variance=10**400), ValueError,
+         "noise_variance"),
+        (lambda: perturb_dataset(np.ones((3, 2)), 10**400), ValueError, "rel_sd"),
+        (lambda: tiny_grid(perturb_rel_sd=10**400), ValueError, "perturb_rel_sd"),
     ], ids=["mm_tol-str", "mm_tol-none", "tol-str", "lloyd-tol-none", "center_sd-str",
             "noise_variance-none", "target_rate-str", "target_rate-none", "rel_sd-str",
-            "rates-str", "grid-mm_tol-str", "mechanism-int"])
+            "rates-str", "grid-mm_tol-str", "mechanism-int", "tol-bool", "mm_tol-bool",
+            "lloyd-tol-bool", "center_sd-past-max", "noise_variance-past-max",
+            "rel_sd-past-max", "grid-perturb_rel_sd-past-max"])
     def test_a_setting_of_the_wrong_type_raises_the_settings_error(self, build, error, name):
-        # The error a value out of range raises, naming the setting, not a TypeError.
+        # The error a value out of range raises, naming the setting, not a
+        # TypeError or OverflowError. A bool is not a number, and an int past
+        # the largest float is out of range.
         with pytest.raises(error, match=rf"\b{name}\b"):
             build()
 
@@ -290,6 +369,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section, body", [
         ("mixture", {"n": 20, "p": 4, "k": 2, "centre_sd": 1e9}),
         ("dataset", {"path": "pop.csv", "label_column": "class", "missing-token": "?"}),
+        ("dataset", {"path": "pop.csv", "label_column": "class", "missing_token": "NA"}),
     ])
     def test_unknown_keys_inside_a_section_rejected(self, section, body):
         raw = {section: body, "k": 2, "mechanisms": ["mcar"], "rates": [0.25],
@@ -305,6 +385,15 @@ class TestConfigParsing:
                "rates": [0.25], "trials": 1, "base_seed": 9, key: []}
         with pytest.raises(ValueError, match=f"{key} must not be empty"):
             ScenarioGrid.from_dict(raw)
+
+    def test_the_readme_schema_parses(self):
+        section = README.read_text(encoding="utf-8").split("## Benchmark config schema")[1]
+        example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        dataset = json.loads("{%s}" % re.search(r'`("dataset": \{.*?\})`', section).group(1))
+        assert isinstance(ScenarioGrid.from_dict(example).dataset, MixtureSpec)
+        example.pop("mixture")
+        grid = ScenarioGrid.from_dict({**example, **dataset})
+        assert grid.dataset == FileDataset(**dataset["dataset"])
 
     def test_needs_dataset_section(self):
         with pytest.raises(KPodError):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,3 +215,13 @@ class TestMalformedCsv:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "(line " in err
+
+
+def test_runs_as_a_module_from_a_checkout():
+    # An uninstalled checkout has no `kpod` script; `python -m kpod.cli` is its entry.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "kpod.cli", "--version"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "kpod 0.1.0\n"

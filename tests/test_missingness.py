@@ -52,13 +52,13 @@ class TestSpecs:
         with pytest.raises(ValueError, match="rel_sd"):
             perturb_dataset(np.ones((2, 2)), bad)
 
-    @pytest.mark.parametrize("bad", [1.5, True, -1, *NON_FINITE, "1"], ids=repr)
+    @pytest.mark.parametrize("bad", [1.5, True, -1, *NON_FINITE, "1", 2.0], ids=repr)
     def test_mar_columns_must_be_integers(self, bad):
         with pytest.raises(ValueError, match="mar_columns"):
             MechanismSpec(kind=Mechanism.MAR, target_rate=0.2, mar_columns=(0, bad))
 
     def test_integral_mar_columns_read_as_ints(self):
-        spec = MechanismSpec(kind=Mechanism.MAR, target_rate=0.2, mar_columns=[2.0, np.int64(0)])
+        spec = MechanismSpec(kind=Mechanism.MAR, target_rate=0.2, mar_columns=[2, np.int64(0)])
         assert spec.mar_columns == (2, 0) and all(type(c) is int for c in spec.mar_columns)
 
 
