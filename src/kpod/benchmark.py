@@ -310,15 +310,19 @@ def run_benchmark(grid: ScenarioGrid, workers: int = 1, measure_time: bool = Tru
 
     Rows come back in grid order regardless of ``workers``; with
     ``measure_time=False`` the seconds column is fixed at 0.0 so two runs of
-    the same grid produce byte-identical reports.
+    the same grid produce byte-identical reports. ``workers`` must be an
+    integer >= 1. The pool never has more processes than the grid has
+    (mechanism, rate, trial) cells, and a pool of one runs in this process.
     """
+    check_count("workers", workers)
     tasks = [
         (grid, mech_index, rate_index, trial, measure_time)
         for mech_index in range(len(grid.mechanisms))
         for rate_index in range(len(grid.rates))
         for trial in range(grid.trials)
     ]
-    if workers <= 1:
+    workers = min(workers, len(tasks))
+    if workers == 1:
         grouped = [_run_trial(*task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor

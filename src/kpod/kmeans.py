@@ -143,10 +143,16 @@ def check_k(k, n: int | None = None) -> None:
         raise InfeasibleError(f"need 1 <= k <= n rows, got k={k}, n={n}")
 
 
-def _as_data(data) -> np.ndarray:
+def _as_data(data, a: Assignment | None = None, b: Centroids | None = None) -> np.ndarray:
+    """``data`` as a 2-D float array. ShapeMismatchError unless it is 2-D,
+    has one row per label of ``a`` and, for centers ``b``, one column per feature."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ShapeMismatchError(f"data must be 2-D, got shape {data.shape}")
+    if a is not None and len(a) != data.shape[0]:
+        raise ShapeMismatchError(f"{len(a)} labels for {data.shape[0]} rows")
+    if b is not None and b.n_features != data.shape[1]:
+        raise ShapeMismatchError(f"centers have {b.n_features} features, data has {data.shape[1]}")
     return data
 
 
@@ -305,13 +311,7 @@ class RowBounds:
 
 def kmeans_objective(data, a: Assignment, b: Centroids) -> float:
     """Within-cluster sum of squares of ``data`` under labels ``a`` and centers ``b``."""
-    data = _as_data(data)
-    if len(a) != data.shape[0]:
-        raise ShapeMismatchError(f"{len(a)} labels for {data.shape[0]} rows")
-    if b.n_features != data.shape[1]:
-        raise ShapeMismatchError(
-            f"centers have {b.n_features} features, data has {data.shape[1]}"
-        )
+    data = _as_data(data, a, b)
     try:
         diff = b.centers.take(a.labels, axis=0)
     except IndexError:  # labels are nonnegative, so the largest is out of range
@@ -375,11 +375,7 @@ def assign_step(data, b: Centroids, bounds: RowBounds | None = None) -> Assignme
     the rest are assigned and get new bounds, and ``bounds`` holds the
     result; the labels are the same as without.
     """
-    data = _as_data(data)
-    if b.n_features != data.shape[1]:
-        raise ShapeMismatchError(
-            f"centers have {b.n_features} features, data has {data.shape[1]}"
-        )
+    data = _as_data(data, b=b)
     if bounds is None:
         labels = np.empty(data.shape[0], dtype=np.int64)
         for start in range(0, data.shape[0], _BLOCK_ROWS):
@@ -404,11 +400,9 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
     (freshly updated) centroid; with several empty clusters each repair takes
     a distinct row. Deterministic.
     """
-    data = _as_data(data)
+    data = _as_data(data, a)
     check_k(k)
     labels = a.labels
-    if len(a) != data.shape[0]:
-        raise ShapeMismatchError(f"{len(a)} labels for {data.shape[0]} rows")
     counts = np.bincount(labels, minlength=k)
     # Labels are nonnegative, so one out of range makes the counts longer than k.
     if counts.size > k:
@@ -458,9 +452,9 @@ def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, t
                         iterations=iterations, converged=converged)
 
 
-def lloyd(data, k: int, seed=None, max_iter: int = 100, tol: float = 1e-6,
-          n_init: int = 1, init: Centroids | None = None,
-          bounds: RowBounds | None = None) -> KMeansResult:
+def lloyd(data, k: int, seed=None, max_iter: int = EngineSettings.max_iter,
+          tol: float = EngineSettings.tol, n_init: int = EngineSettings.n_init,
+          init: Centroids | None = None, bounds: RowBounds | None = None) -> KMeansResult:
     """Run Lloyd's method to a local optimum of the within-cluster sum of squares.
 
     Stops when the assignment repeats, when the relative objective decrease

@@ -112,15 +112,19 @@ def perturb_dataset(values, rel_sd: float, seed=None) -> np.ndarray:
 
     Scaling the noise to each column's mean keeps the perturbation
     proportionate across variables of very different magnitudes. Columns whose
-    mean is zero receive no noise.
+    mean is zero receive no noise. Noise that overflows raises
+    InfeasibleError, not a numpy warning.
     """
     values = np.asarray(values, dtype=float)
     check_nonnegative("rel_sd", rel_sd)
     if rel_sd == 0:
         return values.copy()
     rng = np.random.default_rng(seed)
-    scale = np.abs(rel_sd * values.mean(axis=0))
-    return values + rng.standard_normal(values.shape) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        perturbed = values + rng.standard_normal(values.shape) * np.abs(rel_sd * values.mean(axis=0))
+    if not np.isfinite(perturbed).all():
+        raise InfeasibleError(f"perturbing with rel_sd={rel_sd} gives values that are not finite")
+    return perturbed
 
 
 def _spread_counts(total: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -69,17 +69,14 @@ def init_fill(x: MaskedMatrix) -> np.ndarray:
 
 def majorization_value(x: MaskedMatrix, a: Assignment, b: Centroids,
                        a_prev: Assignment, b_prev: Centroids) -> float:
-    """Surrogate loss: full squared error against the previous iterate's fill.
+    """Surrogate loss: the k-means objective, under ``(a, b)``, of the matrix
+    filled from the previous iterate ``(a_prev, b_prev)``.
 
     Equals the observed-entry objective exactly at ``(a, b) == (a_prev,
-    b_prev)`` and dominates it everywhere else. Used in tests; the fit itself
-    never needs to evaluate it.
+    b_prev)`` and dominates it everywhere else; labels or centers that do not
+    fit ``x`` raise ShapeMismatchError. Used in tests, not by the fit.
     """
-    filled = fill_unobserved(x, b_prev.centers[a_prev.labels])
-    diff = filled - b.centers[a.labels]
-    if diff.shape != x.shape:
-        raise ValueError("inconsistent shapes")
-    return float(np.sum(diff * diff))
+    return kmeans_objective(fill_unobserved(x, b_prev.centers[a_prev.labels]), a, b)
 
 
 def validate_clusterable(x: MaskedMatrix, k: int) -> None:

@@ -91,6 +91,54 @@ class TestRunner:
         b = run_benchmark(tiny_grid(), workers=2, measure_time=False)
         assert a == b
 
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """The max_workers of every process pool the runner builds. A stand-in
+        pool maps in this process, so no process is started."""
+        import concurrent.futures
+        built = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        return built
+
+    def test_the_pool_is_no_larger_than_the_grid(self, pools):
+        two_cells = tiny_grid(trials=2)
+        rows = run_benchmark(two_cells, workers=5, measure_time=False)
+        assert pools == [2]
+        assert rows == run_benchmark(two_cells, workers=1, measure_time=False)
+        run_benchmark(tiny_grid(trials=1), workers=3, measure_time=False)
+        assert pools == [2]  # one cell runs in this process
+
+    @pytest.mark.parametrize("workers", [0, -2, True, 2.5], ids=repr)
+    def test_workers_must_be_a_count(self, pools, workers):
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1$"):
+            run_benchmark(tiny_grid(trials=1), workers=workers)
+        assert pools == []
+
+    def test_overflowing_perturbation_gives_error_rows(self):
+        # Noise of sd 1e308 times a column mean near 1 overflows in some cell of each trial.
+        grid = tiny_grid(dataset=MixtureSpec(n=40, p=6, k=3, center_sd=1.0), perturb_rel_sd=1e308,
+                         trials=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleError, match="rel_sd"):
+                dataset_for_trial(grid, 0, 0, 0)
+            rows = run_benchmark(grid, workers=1)
+        assert len(rows) == 6 and all(
+            r.status == "error:InfeasibleError" and r.achieved_rate is None for r in rows)
+
     def test_measure_time_populates_seconds(self):
         rows = run_benchmark(tiny_grid(trials=1, methods=("kpod",)), workers=1)
         assert all(r.seconds > 0 for r in rows if r.status == "ok")

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 from kpod import (EngineSettings, KPodConfig, delete_cluster, kpod_fit, mean_impute_cluster,
                   read_masked_csv, standardize)
-from kpod.cli import cli
+from kpod.cli import build_parser, cli
 
 
 def run(args):
@@ -124,6 +126,18 @@ class TestCluster:
         assert np.array_equal(read_masked_csv(centers)[0].values, fit.centroids.centers)
         assert read_masked_csv(tmp_path / "fit_trace.csv")[0].values[:, 0].tolist() == trace
 
+    def test_label_column_prints_the_agreement(self, tmp_path, mixture_csv, capsys):
+        data, labels = mixture_csv
+        rows = zip(labels.read_text().splitlines(), data.read_text().splitlines())
+        labelled = tmp_path / "labelled.csv"
+        labelled.write_text("".join(f"{label},{row}\n" for label, row in rows))
+        assert run(["cluster", "--input", labelled, "--output", tmp_path / "fit", "--k", 3,
+                    "--seed", 1, "--label-column", "label"]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert run(["evaluate", labels, tmp_path / "fit_assignment.csv"]) == 0
+        assert printed == " ".join(capsys.readouterr().out.split())
+        assert printed.startswith("rand=") and " adjusted_rand=" in printed
+
     def test_missing_input_is_exit_1(self, tmp_path):
         assert run(["cluster", "--input", tmp_path / "nope.csv", "--output",
                     tmp_path / "o", "--method", "kpod", "--k", 2]) == 1
@@ -166,6 +180,18 @@ class TestBenchmark:
         assert len(lines) == 3  # header + 2 methods x 1 trial
         assert all(line.endswith("ok") for line in lines[1:])
         assert (tmp_path / "report_summary.csv").exists()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_is_exit_1(self, tmp_path, capsys, workers):
+        config = {"mixture": {"n": 30, "p": 5, "k": 2}, "k": 2, "mechanisms": ["mcar"],
+                  "rates": [0.2], "trials": 1, "base_seed": 4}
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(config))
+        report = tmp_path / "report.csv"
+        assert run(["benchmark", "--config", cfg_path, "--output", report,
+                    "--workers", workers]) == 1
+        assert capsys.readouterr().err == "error: workers must be an integer >= 1\n"
+        assert not report.exists()
 
     def test_trials_override_and_no_timing_reproducible(self, tmp_path):
         config = {
@@ -225,3 +251,14 @@ def test_runs_as_a_module_from_a_checkout():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "kpod 0.1.0\n"
+
+
+def test_the_readme_command_lines_parse():
+    # Parsed only, not run: each example must name a subcommand and options that exist.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("kpod ")]
+    assert [line[1] for line in lines] == ["simulate", "ampute", "cluster", "evaluate", "benchmark"]
+    for line in lines:
+        assert build_parser().parse_args(line[1:]).command == line[1]

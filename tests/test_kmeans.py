@@ -104,6 +104,37 @@ class TestAssignment:
             Assignment(labels=np.array([-(2.0**63)]))
 
 
+SIX_BY_TWO = np.arange(12.0).reshape(6, 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: kmeans_objective(SIX_BY_TWO, Assignment(labels=[0] * 5), Centroids(centers=[[0.0, 1.0]])),
+     ShapeMismatchError, "^5 labels for 6 rows$"),
+    (lambda: kmeans_objective(SIX_BY_TWO, Assignment(labels=[0] * 6), Centroids(centers=[[0.0]])),
+     ShapeMismatchError, "^centers have 1 features, data has 2$"),
+    (lambda: update_step(SIX_BY_TWO, Assignment(labels=[0] * 5), 2),
+     ShapeMismatchError, "^5 labels for 6 rows$"),
+    (lambda: assign_step(SIX_BY_TWO, Centroids(centers=np.ones((2, 3)))),
+     ShapeMismatchError, "^centers have 3 features, data has 2$"),
+    (lambda: update_step(SIX_BY_TWO, Assignment(labels=[0, 1, 2, 0, 1, 2]), 2),
+     IndexError, "^label 2 out of range for k=2$"),
+    (lambda: lloyd(SIX_BY_TWO[:, 0], 2, seed=0), ShapeMismatchError, r"^data must be 2-D, got shape \(6,\)$"),
+    (lambda: lloyd(SIX_BY_TWO, 2, init=Centroids(centers=SIX_BY_TWO[:3])),
+     ShapeMismatchError, r"init centers shape \(3, 2\) incompatible with k=2, p=2"),
+    (lambda: lloyd(SIX_BY_TWO, 2, init=Centroids(centers=SIX_BY_TWO[:2, :1])),
+     ShapeMismatchError, r"init centers shape \(2, 1\) incompatible with k=2, p=2"),
+    (lambda: Assignment(labels=np.zeros((2, 3), dtype=int)), ShapeMismatchError, "^labels must be 1-D"),
+    (lambda: Centroids(centers=np.zeros(3)), ShapeMismatchError, "^centers must be 2-D"),
+    (lambda: Centroids(centers=np.zeros((0, 3))), ValueError, "^need at least one center$"),
+    (lambda: Centroids(centers=[[0.0, np.nan]]), ValueError, "^centers must be finite$"),
+], ids=["objective-labels", "objective-width", "update-labels", "assign-width", "update-label-past-k",
+        "lloyd-1d-data", "lloyd-init-k", "lloyd-init-width", "labels-2d", "centers-1d",
+        "centers-no-rows", "centers-nan"])
+def test_arguments_that_do_not_fit_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestCentroids:
     def test_the_callers_array_stays_writable(self):
         c = np.zeros((2, 3))

@@ -51,6 +51,8 @@ class TestMaskedMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             MaskedMatrix(values=[[1.0, 2.0]], observed=[[True]])
+        with pytest.raises(ShapeMismatchError, match=r"^values must be 2-D, got shape \(2,\)$"):
+            MaskedMatrix(values=[1.0, 2.0], observed=[True, True])
 
     def test_nonfinite_observed_rejected(self):
         with pytest.raises(ValueError):

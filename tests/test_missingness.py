@@ -120,6 +120,18 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb_dataset(np.ones((2, 2)), -0.1)
 
+    def test_overflowing_noise_is_infeasible_not_a_numpy_warning(self):
+        # 1e308 times a column mean of 2 overflows, and so does the noise.
+        values = np.full((5, 2), 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleError, match="rel_sd"):
+                perturb_dataset(values, 1e308, seed=0)
+            # A finite result keeps the bits of the plain expression.
+            noise = np.random.default_rng(0).standard_normal(values.shape)
+            assert perturb_dataset(values, 1e300, seed=0).tobytes() == (
+                values + noise * np.abs(1e300 * values.mean(axis=0))).tobytes()
+
 
 class TestAmputeMcar:
     def test_rate_is_exact_up_to_rounding(self):
@@ -169,6 +181,10 @@ class TestAmputeMcar:
     def test_incomplete_input_rejected(self):
         with pytest.raises(InfeasibleError):
             ampute(np.array([[1.0, np.nan]]), MechanismSpec(kind=Mechanism.MCAR, target_rate=0.3))
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(InfeasibleError, match=r"^expected a 2-D array, got shape \(3,\)$"):
+            ampute(np.ones(3), MechanismSpec(kind=Mechanism.MCAR, target_rate=0.3))
 
 
 @settings(deadline=None, max_examples=300)

@@ -17,6 +17,7 @@ from kpod import (
     Mechanism,
     MechanismSpec,
     MixtureSpec,
+    ShapeMismatchError,
     ampute,
     column_stats,
     fill_unobserved,
@@ -101,6 +102,27 @@ class TestMajorization:
             surrogate = majorization_value(x, a2, b2, a, b)
             objective = project_observed(x, b2.centers[a2.labels])
             assert surrogate >= objective - 1e-9
+
+    @pytest.mark.parametrize("a, b", [
+        (Assignment(labels=[0]), Centroids(centers=[[0.0, 1.0], [2.0, 3.0]])),
+        (Assignment(labels=[0, 1] * 3), Centroids(centers=[[0.0], [2.0]])),
+    ], ids=["one-label", "one-feature"])
+    def test_an_iterate_that_does_not_fit_raises(self, a, b):
+        # Both shapes would broadcast against the 6x2 fill.
+        x = random_masked(np.random.default_rng(4), 6, 2, 0.3)
+        a_prev, b_prev = random_model(np.random.default_rng(5), 6, 2, 2)
+        with pytest.raises(ShapeMismatchError):
+            majorization_value(x, a, b, a_prev, b_prev)
+
+    def test_bit_identical_to_difference_expression(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            n, p, k = rng.integers(3, 30), rng.integers(1, 6), rng.integers(1, 4)
+            x = random_masked(rng, n, p, 0.4)
+            (a, b), (a_prev, b_prev) = random_model(rng, n, p, k), random_model(rng, n, p, k)
+            diff = fill_unobserved(x, b_prev.centers[a_prev.labels]) - b.centers[a.labels]
+            want = float(np.sum(diff * diff))
+            assert majorization_value(x, a, b, a_prev, b_prev).hex() == want.hex()
 
     def test_complete_input_reduces_to_plain_objective(self):
         rng = np.random.default_rng(3)
