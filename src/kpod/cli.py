@@ -27,36 +27,35 @@ from .mm import KPodConfig, kpod_fit
 
 
 def _cmd_cluster(args) -> int:
+    cfg = KPodConfig(k=args.k, seed=args.seed, max_mm_iter=args.max_mm_iter, mm_tol=args.mm_tol,
+                     inner=EngineSettings(max_iter=args.max_iter, tol=args.tol, n_init=args.n_init))
     x, labels = read_masked_csv(args.input, missing_token=args.missing_token,
                                 label_column=args.label_column)
     if not args.no_standardize:
         x, _ = standardize(x)
-    engine = EngineSettings(max_iter=args.max_iter, tol=args.tol, n_init=args.n_init)
 
     kept = list(range(x.n_cols))
     if args.method == "kpod":
-        cfg = KPodConfig(k=args.k, seed=args.seed, max_mm_iter=args.max_mm_iter,
-                         mm_tol=args.mm_tol, inner=engine)
         fit = kpod_fit(x, cfg)
-        assignment, centers, trace = fit.assignment, fit.centroids.centers, fit.observed_objective_trace
+        trace = fit.observed_objective_trace
         print(f"kpod: {fit.mm_iterations} fill/cluster iterations, "
               f"observed objective {format_cell(trace[-1])}")
     elif args.method == "mean_impute":
-        fit = mean_impute_cluster(x, args.k, seed=args.seed, engine=engine)
-        assignment, centers, trace = fit.assignment, fit.centroids.centers, [fit.objective]
+        fit = mean_impute_cluster(x, cfg.k, seed=cfg.seed, engine=cfg.inner)
+        trace = [fit.objective]
         print(f"mean_impute: objective {format_cell(fit.objective)} in {fit.iterations} sweeps")
     else:
-        fit, kept = delete_cluster(x, args.k, seed=args.seed, engine=engine)
-        assignment, centers, trace = fit.assignment, fit.centroids.centers, [fit.objective]
+        fit, kept = delete_cluster(x, cfg.k, seed=cfg.seed, engine=cfg.inner)
+        trace = [fit.objective]
         print(f"delete: kept columns {kept}, objective {format_cell(fit.objective)}")
 
     prefix = args.output
-    write_labels_csv(assignment, f"{prefix}_assignment.csv")
-    write_csv(f"{prefix}_centroids.csv", [f"x{j}" for j in kept], centers.tolist())
+    write_labels_csv(fit.assignment, f"{prefix}_assignment.csv")
+    write_csv(f"{prefix}_centroids.csv", [f"x{j}" for j in kept], fit.centroids.centers.tolist())
     write_csv(f"{prefix}_trace.csv", ["objective"], ([value] for value in trace))
     if labels is not None:
-        print(f"rand={format_cell(rand_index(labels, assignment))} "
-              f"adjusted_rand={format_cell(adjusted_rand_index(labels, assignment))}")
+        print(f"rand={format_cell(rand_index(labels, fit.assignment))} "
+              f"adjusted_rand={format_cell(adjusted_rand_index(labels, fit.assignment))}")
     return 0
 
 

@@ -58,7 +58,8 @@ def _dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def pair_counts(a, b) -> PairCounts:
-    """Count pair agreements via the label contingency table (O(n + k_a k_b))."""
+    """Count pair agreements via the label contingency table, in O(n) memory:
+    dense while it has at most n cells, else only the cells that occur."""
     a, b = _labels(a), _labels(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
@@ -66,10 +67,15 @@ def pair_counts(a, b) -> PairCounts:
     if n < 2:
         raise ValueError("need at least two objects to compare partitions")
     (a, ka), (b, kb) = _dense(a), _dense(b)
-    contingency = np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
-    same_same = int(_comb2(contingency).sum())
-    same_a = int(_comb2(contingency.sum(axis=1)).sum())
-    same_b = int(_comb2(contingency.sum(axis=0)).sum())
+    if ka * kb > n:
+        cells = np.unique(a * kb + b, return_counts=True)[1]
+        rows, cols = np.bincount(a, minlength=ka), np.bincount(b, minlength=kb)
+    else:
+        cells = np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
+        rows, cols = cells.sum(axis=1), cells.sum(axis=0)
+    same_same = int(_comb2(cells).sum())
+    same_a = int(_comb2(rows).sum())
+    same_b = int(_comb2(cols).sum())
     total = n * (n - 1) // 2
     return PairCounts(
         same_same=same_same,

@@ -329,7 +329,9 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
     to the nearest center chosen so far. Deterministic given ``seed``.
 
     If the data holds fewer than k distinct rows the leftover centers are
-    duplicates, flagged with :class:`DuplicateCentersWarning`.
+    duplicates, flagged with :class:`DuplicateCentersWarning`. Squared
+    distances whose sum overflows, also to the one center of k = 1, raise
+    :class:`InfeasibleError`.
     """
     data = _as_data(data)
     n = data.shape[0]
@@ -340,18 +342,22 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
     chosen[0] = rng.integers(n)
     d2 = np.full(n, np.inf)
     duplicated = False
-    for i in range(1, k):
+    # At k = 1 the loop runs once, to check the distances to the one center.
+    for i in range(1, max(k, 2)):
         # Each row's distance to the newest center, a block of rows at a time
         # so the differences stay small, kept where it is the nearest yet.
         center = data[chosen[i - 1:i]]
         for start in range(0, n, _BLOCK_ROWS):
             near = d2[start:start + _BLOCK_ROWS]
             np.minimum(near, _sq_dists(data[start:start + _BLOCK_ROWS], center)[:, 0], out=near)
-        total = d2.sum()
+        with np.errstate(over="ignore"):
+            total = d2.sum()
         if not np.isfinite(total):
             raise InfeasibleError(
                 "squared distances overflow; the data's scale is too large to seed k-means"
             )
+        if k == 1:
+            break
         if total > 0:
             chosen[i] = rng.choice(n, p=d2 / total)
         else:
@@ -398,7 +404,8 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
 
     A cluster left empty is re-seeded with the data row farthest from its own
     (freshly updated) centroid; with several empty clusters each repair takes
-    a distinct row. Deterministic.
+    a distinct row. Deterministic. A cluster sum that overflows raises
+    :class:`InfeasibleError`.
     """
     data = _as_data(data, a)
     check_k(k)
@@ -418,12 +425,19 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
 
     empty = (counts == 0).nonzero()[0]
     if empty.size:
-        own_d2 = np.sum((data - centers[labels]) ** 2, axis=1)
+        # A distance that overflows is inf, which is still the farthest.
+        with np.errstate(over="ignore"):
+            own_d2 = np.sum((data - centers[labels]) ** 2, axis=1)
         for cluster in empty:
             far = int(np.argmax(own_d2))
             centers[cluster] = data[far]
             own_d2[far] = -np.inf  # each repair takes a distinct row
-    return Centroids(centers=centers)
+    try:
+        return Centroids(centers=centers)
+    except ValueError:  # the one check these centers can fail: a sum overflowed
+        raise InfeasibleError(
+            "cluster sums overflow; the data's scale is too large for k-means"
+        ) from None
 
 
 def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, tol: float,

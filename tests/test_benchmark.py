@@ -226,6 +226,18 @@ class TestRunner:
             assert all((r.achieved_rate is not None) == amputed for r in rows)
             assert run_benchmark(grid, workers=2) == rows
 
+    def test_a_trial_whose_sums_overflow_gives_error_rows_at_k_one(self):
+        # Rows all near one center of sd 1e306: the column sums of the fill
+        # overflow, and deletion has no complete column left under MCAR.
+        grid = tiny_grid(dataset=MixtureSpec(n=300, p=3, k=1, center_sd=1e306, noise_variance=0.0),
+                         k=1, trials=1, base_seed=1, standardize=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_benchmark(grid, workers=1)
+        assert [(r.method, r.status) for r in rows] == [
+            ("kpod", "error:InfeasibleError"), ("mean_impute", "error:InfeasibleError"),
+            ("delete", "infeasible")]
+
     def test_a_cell_that_cannot_be_amputed_is_a_row(self, tmp_path, capsys):
         grid = ScenarioGrid.from_dict(UNAMPUTABLE_CELL)
         rows = run_benchmark(grid, workers=1, measure_time=False)
@@ -401,6 +413,7 @@ class TestConfigParsing:
         ("mixture.center_sd", None), ("mixture.center_sd", "10"),
         ("mixture.noise_variance", True), ("mixture.noise_variance", {}),
         ("mm_tol", 10**400),
+        ("rates", 0.25), ("mechanisms", "mcar"), ("methods", "kpod"), ("mar_columns", 0),
     ], ids=str)
     def test_a_number_of_another_json_type_is_an_error(self, key, bad, tmp_path, capsys):
         raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "k": 2, "mechanisms": ["mcar"],

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kpod import (EngineSettings, KPodConfig, delete_cluster, kpod_fit, mean_impute_cluster,
-                  read_masked_csv, standardize)
+from kpod import (EngineSettings, KPodConfig, ScenarioGrid, dataset_for_trial, delete_cluster,
+                  derive_seed, kpod_fit, mean_impute_cluster, rand_index, read_labels_csv,
+                  read_masked_csv, run_benchmark, standardize, write_masked_csv)
+from kpod.benchmark import METHODS
 from kpod.cli import build_parser, cli
 
 
@@ -141,6 +143,46 @@ class TestCluster:
     def test_missing_input_is_exit_1(self, tmp_path):
         assert run(["cluster", "--input", tmp_path / "nope.csv", "--output",
                     tmp_path / "o", "--method", "kpod", "--k", 2]) == 1
+
+    @pytest.mark.parametrize("method, flag, name", [
+        ("delete", "--mm-tol", "mm_tol"), ("mean_impute", "--max-mm-iter", "max_mm_iter"),
+        ("kpod", "--tol", "tol"), ("delete", "--n-init", "n_init"),
+    ])
+    @pytest.mark.parametrize("exists", [True, False], ids=["input", "no-input"])
+    def test_every_setting_is_checked_before_the_input(self, tmp_path, mixture_csv, capsys,
+                                                       method, flag, name, exists):
+        # As in a campaign, a setting is checked whether or not the method
+        # uses it, and before the input is read.
+        data = mixture_csv[0] if exists else tmp_path / "nope.csv"
+        assert run(["cluster", "--input", data, "--output", tmp_path / "fit", "--method", method,
+                    "--k", 3, flag, 0]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(rf"\b{name}\b", err), err
+        assert not (tmp_path / "fit_assignment.csv").exists()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rand_equals_the_campaign_row(self, tmp_path, method):
+        # The CLI and a campaign trial call each method alike: on a trial's
+        # amputed matrix, with its seed and the grid's settings, the CLI's
+        # labels score the rand of that trial's report row exactly. The
+        # clusters overlap, so a setting dropped on either side moves the rand.
+        grid = ScenarioGrid.from_dict({
+            "mixture": {"n": 80, "p": 6, "k": 3, "center_sd": 1.0, "noise_variance": 1.0},
+            "k": 3, "mechanisms": ["mar"], "mar_columns": [0, 1], "rates": [0.1, 0.2],
+            "methods": [method], "trials": 2, "base_seed": 31, "n_init": 2,
+            "inner_max_iter": 7, "inner_tol": 1e-4, "max_mm_iter": 5, "mm_tol": 1e-3})
+        rows = run_benchmark(grid, measure_time=False)
+        assert [row.status for row in rows] == ["ok"] * 4
+        for row, (r, t) in zip(rows, [(r, t) for r in range(2) for t in range(2)]):
+            _, labels, masked = dataset_for_trial(grid, 0, r, t)
+            write_masked_csv(masked, tmp_path / "trial.csv")
+            assert run(["cluster", "--input", tmp_path / "trial.csv", "--output", tmp_path / "fit",
+                        "--method", method, "--k", grid.k,
+                        "--seed", derive_seed(grid.base_seed, "run", 0, r, t),
+                        "--max-iter", grid.engine.max_iter, "--tol", grid.engine.tol,
+                        "--n-init", grid.engine.n_init, "--max-mm-iter", grid.max_mm_iter,
+                        "--mm-tol", grid.mm_tol]) == 0
+            assert rand_index(labels, read_labels_csv(tmp_path / "fit_assignment.csv")) == row.rand
 
 
 class TestEvaluate:

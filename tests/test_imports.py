@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,11 @@ def test_import_kpod_leaves_the_deferred_modules_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.split() == []
+
+
+def test_the_readme_package_table_names_every_module():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Package layout")[1].split("\n## ")[0]
+    named = re.findall(r"^\| `kpod\.(\w+)` \|", table, re.M)
+    modules = sorted(path.stem for path in (SRC / "kpod").glob("*.py") if path.stem != "__init__")
+    assert sorted(named) == modules

@@ -493,6 +493,16 @@ class TestUpdate:
         assert got.centers[1][0] == 0.0
         assert got.centers[2][0] == 10.0
 
+    def test_overflowing_sums_are_infeasible_and_the_repair_is_quiet(self):
+        # Cluster 1 is empty in both. Its repair measures each row from center
+        # 0: the difference 1e308 squared overflows, which is still the
+        # farthest, and raises no warning.
+        got = update_step(np.array([[1e308], [-1e308]]), Assignment(labels=[0, 0]), 2)
+        assert got.centers.tolist() == [[0.0], [1e308]]
+        # Here the sum of cluster 0 overflows, so its center is not finite.
+        with pytest.raises(InfeasibleError, match="sums overflow"):
+            update_step(np.array([[1e308], [1e308]]), Assignment(labels=[0, 0]), 2)
+
 
 class TestLloyd:
     def test_separated_blobs_recovered(self):

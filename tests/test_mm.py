@@ -20,11 +20,13 @@ from kpod import (
     ShapeMismatchError,
     ampute,
     column_stats,
+    delete_cluster,
     fill_unobserved,
     init_fill,
     kpod_fit,
     lloyd,
     majorization_value,
+    mean_impute_cluster,
     project_observed,
     rand_index,
     simulate_mixture,
@@ -33,6 +35,8 @@ from kpod import (
 from kpod import mm
 from kpod.kmeans import _BLOCK_ROWS, RowBounds
 from kpod.mm import validate_clusterable
+
+ENTRY_POINTS = ("kpod_fit", "mean_impute_cluster", "delete_cluster", "lloyd")
 
 
 def random_masked(rng, n, p, rate):
@@ -258,6 +262,37 @@ class TestKPodFit:
                          observed=np.ones((30, 3), bool))
         with np.errstate(over="ignore"), pytest.raises(InfeasibleError, match="overflow"):
             kpod_fit(x, KPodConfig(k=3, seed=0))
+
+    @pytest.mark.parametrize("case, k, method", [
+        *[("rows near 1e300", k, m) for k in (1, 2) for m in ENTRY_POINTS],
+        *[("columns near 1.5e306", 1, m) for m in ENTRY_POINTS],
+        *[("columns near 1.5e306", 2, m) for m in ("kpod_fit", "mean_impute_cluster")],
+        *[("distances near 1.4e308", 2, m) for m in ENTRY_POINTS],
+    ], ids=str)
+    def test_an_overflowing_scale_is_infeasible_at_every_k(self, case, k, method):
+        # Rows near 1e300 give squared distances past the largest float, also
+        # to the one center of k=1. Columns near 1.5e306 are constant (the
+        # 1e100 noise rounds away) and their sums overflow: in the column
+        # means, or in the cluster sums of a complete matrix. Rows of +-6e153
+        # give finite squared distances whose sum overflows. Each is an
+        # InfeasibleError, and no numpy warning.
+        rng = np.random.default_rng(4)
+        if case == "rows near 1e300":
+            values = rng.normal(0, 1, (50, 3)) * 1e300
+        elif case == "columns near 1.5e306":
+            values = 1.5e306 + rng.normal(0, 1, (1000, 2)) * 1e100
+        else:
+            values = np.array([[6e153, 0.0], [-6e153, 0.0]] * 50)
+        complete = MaskedMatrix(values=values, observed=np.ones(values.shape, bool))
+        x = ampute(values, MechanismSpec(kind=Mechanism.MCAR, target_rate=0.3, seed=5))
+        call = {
+            "kpod_fit": lambda: kpod_fit(x, KPodConfig(k=k, seed=0)),
+            "mean_impute_cluster": lambda: mean_impute_cluster(x, k, seed=0),
+            "delete_cluster": lambda: delete_cluster(complete, k, seed=0),
+            "lloyd": lambda: lloyd(values, k, seed=0),
+        }[method]
+        with pytest.raises(InfeasibleError):
+            call()
 
     def test_k_larger_than_n_rejected(self):
         x = MaskedMatrix(values=np.ones((3, 2)), observed=np.ones((3, 2), bool))
