@@ -59,20 +59,16 @@ def _dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
 
 def pair_counts(a, b) -> PairCounts:
     """Count pair agreements via the label contingency table, in O(n) memory:
-    dense while it has at most n cells, else only the cells that occur."""
+    its cells are counted by joint label, renumbered as each side's are."""
     a, b = _labels(a), _labels(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
     n = a.shape[0]
     if n < 2:
         raise ValueError("need at least two objects to compare partitions")
-    (a, ka), (b, kb) = _dense(a), _dense(b)
-    if ka * kb > n:
-        cells = np.unique(a * kb + b, return_counts=True)[1]
-        rows, cols = np.bincount(a, minlength=ka), np.bincount(b, minlength=kb)
-    else:
-        cells = np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
-        rows, cols = cells.sum(axis=1), cells.sum(axis=0)
+    (a, _), (b, kb) = _dense(a), _dense(b)
+    cells = np.bincount(_dense(a * kb + b)[0])
+    rows, cols = np.bincount(a), np.bincount(b)
     same_same = int(_comb2(cells).sum())
     same_a = int(_comb2(rows).sum())
     same_b = int(_comb2(cols).sum())

@@ -137,21 +137,30 @@ def observed_means(x: MaskedMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Observed-entry column means and observed counts.
 
     Raises :class:`DegenerateColumnError` for any column with no observed
-    entries, naming the first offending column.
+    entries, and :class:`InfeasibleError` for any column whose mean overflows,
+    naming the first offending column. It raises no numpy warning.
     """
     counts = x.col_observed_counts()
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise DegenerateColumnError(int(empty[0]))
     # Unobserved cells are stored as 0.0, so plain column sums are masked sums.
-    return x.values.sum(axis=0) / counts, counts
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = x.values.sum(axis=0) / counts
+    overflowed = np.flatnonzero(~np.isfinite(means))
+    if overflowed.size:
+        raise InfeasibleError(
+            f"column {int(overflowed[0])}: observed mean is not finite; its scale is too large"
+        )
+    return means, counts
 
 
 def column_stats(x: MaskedMatrix) -> ColumnStats:
     """Observed-entry column means and sample standard deviations.
 
     Raises :class:`DegenerateColumnError` for any column with no observed
-    entries, naming the first offending column.
+    entries, and :class:`InfeasibleError` for any column whose mean overflows,
+    naming the first offending column.
     """
     means, counts = observed_means(x)
     # The mask is stored in C order, so (values - means) * observed comes out
@@ -174,17 +183,18 @@ def standardize(x: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
     than NaNs. The mask is unchanged. Returns the stats that were used so
     results can be mapped back to the original scale.
 
-    Raises :class:`InfeasibleError` naming the first column whose mean or
-    standard deviation overflows: dividing by it would turn the column into
-    zeros without a sign that anything went wrong. It raises no numpy warning.
+    Raises :class:`InfeasibleError` naming the first column whose mean
+    overflows, else the first whose standard deviation does: dividing by it
+    would turn the column into zeros without a sign that anything went wrong.
+    It raises no numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         stats = column_stats(x)
-    overflowed = np.flatnonzero(~(np.isfinite(stats.means) & np.isfinite(stats.std_devs)))
+    overflowed = np.flatnonzero(~np.isfinite(stats.std_devs))
     if overflowed.size:
         raise InfeasibleError(
-            f"column {int(overflowed[0])}: observed mean or standard deviation is not "
-            "finite; its scale is too large to standardize"
+            f"column {int(overflowed[0])}: observed standard deviation is not finite; "
+            "its scale is too large to standardize"
         )
     scale = np.where(stats.std_devs > 0, stats.std_devs, 1.0)
     scaled = np.subtract(x.values, stats.means)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRowError, InfeasibleError
+from .errors import DegenerateRowError
 from .kmeans import (_BLOCK_ROWS, Assignment, Centroids, EngineSettings, KMeansResult, RowBounds,
                      check_count, check_k, is_real, kmeans_objective, lloyd)
 from .masked import MaskedMatrix, fill_unobserved, observed_means
@@ -62,17 +62,8 @@ class KPodResult:
 
 
 def init_fill(x: MaskedMatrix) -> np.ndarray:
-    """Fill unobserved cells with their column's observed mean.
-
-    Raises :class:`InfeasibleError` naming the first column whose observed
-    mean overflows, and raises no numpy warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        means, _ = observed_means(x)
-    overflowed = np.flatnonzero(~np.isfinite(means))
-    if overflowed.size:
-        raise InfeasibleError(f"column {int(overflowed[0])}: observed mean is not finite; "
-                              "its scale is too large to fill")
+    """Fill unobserved cells with their column's observed mean."""
+    means, _ = observed_means(x)
     return np.where(x.observed, x.values, means)
 
 

@@ -63,10 +63,9 @@ class TestRandIndex:
         with pytest.raises(ValueError):
             rand_index([0], [0])
 
-    # With at most 5 labels a side, most tables have no more cells than rows
-    # and are counted densely; with up to 60, most have more, and only the
-    # cells that occur are counted.
-    @pytest.mark.parametrize("most_labels", [6, 61], ids=["dense", "sparse"])
+    # With at most 5 labels a side, most tables have no more cells than rows;
+    # with up to 60, most have more, and their joint labels are renumbered.
+    @pytest.mark.parametrize("most_labels", [6, 61], ids=["few_labels", "many_labels"])
     def test_matches_pair_enumeration(self, most_labels):
         rng = np.random.default_rng(1)
         for _ in range(30):
@@ -110,17 +109,6 @@ class TestRandIndex:
     def test_recoded_tables_match_pair_enumeration(self, pairs):
         a, b = (np.array(side) for side in zip(*pairs))
         assert pair_counts(a, b) == pair_enumeration(a, b)
-
-    @settings(deadline=None, max_examples=100)
-    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=4, max_size=40))
-    def test_dense_and_sparse_tables_give_the_same_counts(self, pairs):
-        # Labels 0 and 1 make a table of at most 4 cells, no more than the n
-        # rows, which is counted densely. Shifted to n - 2 and n - 1, the same
-        # partitions make one of about n^2 cells, and only the cells that
-        # occur are counted.
-        a, b = (np.array(side) for side in zip(*pairs))
-        shift = len(a) - 2
-        assert pair_counts(a + shift, b + shift) == pair_counts(a, b)
 
     def test_singletons_take_memory_of_order_n(self):
         # A dense table of 3000 x 3000 singleton labels would take 69 MiB.

@@ -9,6 +9,7 @@ from kpod import (
     ShapeMismatchError,
     column_stats,
     fill_unobserved,
+    init_fill,
     project_observed,
     standardize,
 )
@@ -260,6 +261,15 @@ class TestStandardize:
             # column_stats itself still reports what it computed.
             assert np.isinf(column_stats(x).std_devs[1:]).all()
 
+    def test_an_overflowing_mean_is_infeasible_wherever_it_is_taken(self):
+        # The sum of column 1 overflows. Every user of the observed means,
+        # init_fill included, raises the one error, and no numpy warning.
+        values = np.array([[1.0, 1e308], [2.0, 1e308], [3.0, 0.0]])
+        x = MaskedMatrix(values=values, observed=np.ones((3, 2), bool))
+        for use in (column_stats, standardize, init_fill):
+            with pytest.raises(InfeasibleError, match="^column 1: observed mean is not finite"):
+                use(x)
+
 
 def masked_by_formula(values, observed):
     """The checked sentinel fill, written as ``np.where`` after a gather of the
@@ -274,6 +284,11 @@ def masked_by_formula(values, observed):
 def stats_by_formula(values, observed):
     counts = observed.sum(axis=0)
     means = values.sum(axis=0) / counts
+    overflowed = np.flatnonzero(~np.isfinite(means))
+    if overflowed.size:
+        raise InfeasibleError(
+            f"column {int(overflowed[0])}: observed mean is not finite; its scale is too large"
+        )
     centered = (values - means) * observed
     std_devs = np.sqrt(np.sum(centered * centered, axis=0) / np.maximum(counts - 1, 1))
     std_devs[counts < 2] = 0.0
@@ -283,11 +298,11 @@ def stats_by_formula(values, observed):
 def standardized_by_formula(values, observed):
     with np.errstate(over="ignore", invalid="ignore"):
         means, std_devs = stats_by_formula(values, observed)
-    overflowed = np.flatnonzero(~(np.isfinite(means) & np.isfinite(std_devs)))
+    overflowed = np.flatnonzero(~np.isfinite(std_devs))
     if overflowed.size:
         raise InfeasibleError(
-            f"column {int(overflowed[0])}: observed mean or standard deviation is not "
-            "finite; its scale is too large to standardize"
+            f"column {int(overflowed[0])}: observed standard deviation is not finite; "
+            "its scale is too large to standardize"
         )
     scale = np.where(std_devs > 0, std_devs, 1.0)
     return masked_by_formula((values - means) / scale, observed)
@@ -335,10 +350,12 @@ class TestSameBytesAsFormulas:
         values, observed = case
         observed[0, :] = True  # no empty column
         x = MaskedMatrix(values=values, observed=observed)
+        def stats():
+            got = column_stats(x)
+            return got.means, got.std_devs
+
         with np.errstate(all="ignore"):
-            stats = column_stats(x)
-            assert outcome(lambda: (stats.means, stats.std_devs)) == outcome(
-                stats_by_formula, x.values, x.observed)
+            assert outcome(stats) == outcome(stats_by_formula, x.values, x.observed)
         got = outcome(lambda: (standardize(x)[0].values,))
         assert got == outcome(lambda: (standardized_by_formula(x.values, x.observed),))
 
