@@ -37,7 +37,6 @@ def delete_cluster(x: MaskedMatrix, k: int, seed=None,
     kept = np.flatnonzero(x.observed.all(axis=0))
     if kept.size == 0:
         raise DeletionInfeasibleError("every column contains missing entries")
-    validate_clusterable(x, k)
     result = lloyd(x.values[:, kept], k, seed=seed,
                    max_iter=engine.max_iter, tol=engine.tol, n_init=engine.n_init)
     return result, [int(j) for j in kept]

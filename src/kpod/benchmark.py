@@ -31,15 +31,14 @@ from .missingness import Mechanism, MechanismSpec, MixtureSpec, ampute, perturb_
 from .mm import KPodConfig, kpod_fit
 
 __all__ = [
-    "METHODS",
     "FileDataset",
     "ScenarioGrid",
     "ReportRow",
     "run_benchmark",
+    "derive_seed",
     "dataset_for_trial",
     "write_report",
     "aggregate_rows",
-    "summary_path_for",
 ]
 
 METHODS = ("kpod", "mean_impute", "delete")

@@ -72,14 +72,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ampute(args) -> int:
-    x, _ = read_masked_csv(args.input, missing_token=args.missing_token)
-    if not x.complete():
-        raise KPodError(f"{args.input} already contains missing entries")
     mar_columns = None
     if args.mar_columns:
         mar_columns = tuple(int(c) for c in args.mar_columns.split(","))
     spec = MechanismSpec(kind=Mechanism.parse(args.mechanism), target_rate=args.rate,
                          mar_columns=mar_columns, seed=args.seed)
+    x, _ = read_masked_csv(args.input, missing_token=args.missing_token)
+    if not x.complete():
+        raise KPodError(f"{args.input} already contains missing entries")
     masked = ampute(x.values, spec)
     write_masked_csv(masked, args.output, missing_token=args.missing_token)
     print(f"achieved missingness {format_cell(1.0 - masked.observed_fraction)} -> {args.output}")

@@ -36,8 +36,6 @@ from .kmeans import Assignment
 from .masked import MaskedMatrix
 
 __all__ = [
-    "format_cell",
-    "write_csv",
     "read_masked_csv",
     "write_masked_csv",
     "read_labels_csv",

@@ -1,5 +1,17 @@
 """Exception types raised by the kpod package."""
 
+__all__ = [
+    "KPodError",
+    "ShapeMismatchError",
+    "DegenerateColumnError",
+    "DegenerateRowError",
+    "InfeasibleError",
+    "DeletionInfeasibleError",
+    "CsvParseError",
+    "DuplicateCentersWarning",
+    "QuantileFallbackWarning",
+]
+
 
 class KPodError(Exception):
     """Base class for all errors raised by this package."""

@@ -22,7 +22,6 @@ __all__ = [
     "assign_step",
     "update_step",
     "lloyd",
-    "RowBounds",
 ]
 
 

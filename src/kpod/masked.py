@@ -20,7 +20,6 @@ __all__ = [
     "project_observed",
     "fill_unobserved",
     "column_stats",
-    "observed_means",
     "standardize",
 ]
 

@@ -65,6 +65,8 @@ class MechanismSpec:
     def __post_init__(self):
         if not is_real(self.target_rate) or not 0 < self.target_rate < 1:
             raise ValueError(f"target_rate must be in (0, 1), got {self.target_rate}")
+        if self.seed is not None:
+            check_count("seed", self.seed, minimum=0)
         if self.kind is Mechanism.MAR:
             if not self.mar_columns:
                 raise ValueError("MAR requires a non-empty mar_columns")
@@ -95,6 +97,8 @@ class MixtureSpec:
         # exactly, which is the useful degenerate case for recovery tests.
         check_nonnegative("center_sd", self.center_sd)
         check_nonnegative("noise_variance", self.noise_variance)
+        if self.seed is not None:
+            check_count("seed", self.seed, minimum=0)
 
 
 def simulate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Assignment]:

@@ -35,6 +35,8 @@ class KPodConfig:
     def __post_init__(self):
         check_count("k", self.k)
         check_count("max_mm_iter", self.max_mm_iter)
+        if self.seed is not None:
+            check_count("seed", self.seed, minimum=0)
         if not is_real(self.mm_tol) or not self.mm_tol > 0:
             raise ValueError("mm_tol must be > 0")
 

@@ -285,6 +285,30 @@ class TestMalformedCsv:
         assert err.startswith("error: ") and "(line " in err
 
 
+@pytest.mark.parametrize("command, flag, value, name", [
+    ("cluster", "--seed", -1, "seed"), ("simulate", "--seed", -1, "seed"),
+    ("ampute", "--seed", -1, "seed"), ("ampute", "--rate", 2, "target_rate"),
+    ("ampute", "--mechanism", "foo", "mechanism"),
+])
+@pytest.mark.parametrize("exists", [True, False], ids=["input", "no-input"])
+def test_a_bad_setting_is_named_before_any_file_is_touched(tmp_path, mixture_csv, capsys, command,
+                                                           flag, value, name, exists):
+    # A seed is an integer >= 0. simulate reads no input, so its "no-input"
+    # case writes into a missing directory instead.
+    data = mixture_csv[0] if exists else tmp_path / "nope.csv"
+    out = tmp_path / ("out.csv" if exists else "nope/out.csv")
+    args = {
+        "cluster": ["--input", data, "--output", out, "--k", 3],
+        "simulate": ["--n", 20, "--p", 2, "--k", 2, "--output", out],
+        "ampute": ["--input", data, "--output", out, "--mechanism", "mcar", "--rate", 0.2],
+    }[command]
+    files = sorted(tmp_path.rglob("*"))
+    assert run([command, *args, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(rf"\b{name}\b", err), err
+    assert "nope" not in err and sorted(tmp_path.rglob("*")) == files
+
+
 def test_runs_as_a_module_from_a_checkout():
     # An uninstalled checkout has no `kpod` script; `python -m kpod.cli` is its entry.
     src = Path(__file__).resolve().parents[1] / "src"

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kpod import (
     InfeasibleError,
+    KPodConfig,
     Mechanism,
     MechanismSpec,
     MixtureSpec,
@@ -56,6 +57,18 @@ class TestSpecs:
     def test_mar_columns_must_be_integers(self, bad):
         with pytest.raises(ValueError, match="mar_columns"):
             MechanismSpec(kind=Mechanism.MAR, target_rate=0.2, mar_columns=(0, bad))
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True], ids=repr)
+    @pytest.mark.parametrize("make", [
+        lambda seed: KPodConfig(k=2, seed=seed),
+        lambda seed: MixtureSpec(n=5, p=3, k=1, seed=seed),
+        lambda seed: MechanismSpec(kind=Mechanism.MCAR, target_rate=0.2, seed=seed),
+    ], ids=["KPodConfig", "MixtureSpec", "MechanismSpec"])
+    def test_seed_must_be_an_integer_at_least_0(self, make, bad):
+        with pytest.raises(ValueError, match=r"\bseed\b"):
+            make(bad)
+        for good in (None, 0, np.uint32(7), 2**64 - 1):
+            assert make(good).seed == good
 
     def test_integral_mar_columns_read_as_ints(self):
         spec = MechanismSpec(kind=Mechanism.MAR, target_rate=0.2, mar_columns=[2, np.int64(0)])
