@@ -54,6 +54,8 @@ class FileDataset:
     label_column: str
 
     def __post_init__(self):
+        if not isinstance(self.path, str) or not self.path:
+            raise ValueError("a benchmark dataset needs a path")
         if not isinstance(self.label_column, str):
             raise ValueError("a benchmark dataset needs a label_column")
 
@@ -62,17 +64,6 @@ def _count(value):
     """A count read from JSON, which may write 2 as 2.0. Any other value,
     2.5 included, passes through unchanged for the grid to reject."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
-def _number(value, key: str) -> float:
-    """A real number read from JSON. A bool, string, null or container is a
-    KPodError naming ``key``, not a float() of it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise KPodError(f"config key {key!r} must be a JSON number")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal past the largest float
-        raise KPodError(f"config key {key!r} is too large") from None
 
 
 def _no_more_keys(section: dict, where: str) -> None:
@@ -143,21 +134,20 @@ class ScenarioGrid:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioGrid":
-        """Build a grid from the flat config-file schema (see README)."""
+        """Shape the flat config schema (see README) into a grid, whose parts judge its values."""
         raw = _object(raw, "config")
         if "mixture" in raw:
             m = _object(raw.pop("mixture"), "mixture")
             dataset = MixtureSpec(
                 **{key: _count(_required(m, key, "mixture")) for key in ("n", "p", "k")},
-                center_sd=_number(m.pop("center_sd", MixtureSpec.center_sd), "center_sd"),
-                noise_variance=_number(m.pop("noise_variance", MixtureSpec.noise_variance),
-                                       "noise_variance"),
+                center_sd=m.pop("center_sd", MixtureSpec.center_sd),
+                noise_variance=m.pop("noise_variance", MixtureSpec.noise_variance),
             )
             _no_more_keys(m, "mixture")
         elif "dataset" in raw:
             d = _object(raw.pop("dataset"), "dataset")
             dataset = FileDataset(
-                path=str(_required(d, "path", "dataset")),
+                path=_required(d, "path", "dataset"),
                 label_column=_required(d, "label_column", "dataset"),
             )
             _no_more_keys(d, "dataset")
@@ -167,7 +157,7 @@ class ScenarioGrid:
         mar_columns = [_count(c) for c in _array(raw, "mar_columns", ())]
         mechanisms = []
         for name in _array(raw, "mechanisms"):
-            kind = Mechanism.parse(str(name))
+            kind = Mechanism.parse(name)
             mechanisms.append(MechanismSpec(
                 kind=kind,
                 target_rate=0.5,  # placeholder; the grid's rates apply per cell
@@ -176,22 +166,22 @@ class ScenarioGrid:
 
         engine = EngineSettings(
             max_iter=_count(raw.pop("inner_max_iter", EngineSettings.max_iter)),
-            tol=_number(raw.pop("inner_tol", EngineSettings.tol), "inner_tol"),
+            tol=raw.pop("inner_tol", EngineSettings.tol),
             n_init=_count(raw.pop("n_init", EngineSettings.n_init)),
         )
         grid = cls(
             dataset=dataset,
             k=_count(_required(raw, "k")),
             mechanisms=tuple(mechanisms),
-            rates=tuple(_number(r, "rates") for r in _array(raw, "rates")),
-            methods=tuple(str(m) for m in _array(raw, "methods", METHODS)),
+            rates=tuple(_array(raw, "rates")),
+            methods=tuple(_array(raw, "methods", METHODS)),
             trials=_count(_required(raw, "trials")),
             base_seed=_count(_required(raw, "base_seed")),
             standardize=raw.pop("standardize", cls.standardize),
-            perturb_rel_sd=_number(raw.pop("perturb_rel_sd", cls.perturb_rel_sd), "perturb_rel_sd"),
+            perturb_rel_sd=raw.pop("perturb_rel_sd", cls.perturb_rel_sd),
             engine=engine,
             max_mm_iter=_count(raw.pop("max_mm_iter", cls.max_mm_iter)),
-            mm_tol=_number(raw.pop("mm_tol", cls.mm_tol), "mm_tol"),
+            mm_tol=raw.pop("mm_tol", cls.mm_tol),
         )
         _no_more_keys(raw, "config")
         return grid

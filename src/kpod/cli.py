@@ -74,7 +74,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_ampute(args) -> int:
     mar_columns = None
     if args.mar_columns:
-        mar_columns = tuple(int(c) for c in args.mar_columns.split(","))
+        # Text that is no index is left for the spec to reject by name.
+        mar_columns = tuple(int(c) if c.strip().isdecimal() else c
+                            for c in args.mar_columns.split(","))
     spec = MechanismSpec(kind=Mechanism.parse(args.mechanism), target_rate=args.rate,
                          mar_columns=mar_columns, seed=args.seed)
     x, _ = read_masked_csv(args.input, missing_token=args.missing_token)
@@ -88,9 +90,6 @@ def _cmd_ampute(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     grid = ScenarioGrid.from_json(args.config)
-    if args.trials is not None:
-        from dataclasses import replace
-        grid = replace(grid, trials=args.trials)
     rows = run_benchmark(grid, workers=args.workers, measure_time=not args.no_timing)
     write_report(rows, args.output)
     ok = sum(1 for r in rows if r.status == "ok")
@@ -159,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("benchmark", help="run a scenario grid from a config file")
     bench.add_argument("--config", required=True, help="JSON grid description")
     bench.add_argument("--output", required=True, help="report CSV path")
-    bench.add_argument("--trials", type=int, default=None, help="override config trials")
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--no-timing", action="store_true",
                        help="write seconds as 0.0 for byte-reproducible reports")

@@ -101,14 +101,9 @@ class EngineSettings:
     n_init: int = 1
 
     def __post_init__(self):
-        _check_settings(self.max_iter, self.tol, self.n_init)
-
-
-def _check_settings(max_iter, tol, n_init) -> None:
-    check_count("max_iter", max_iter)
-    if not is_real(tol) or not tol > 0:
-        raise ValueError("tol must be > 0")
-    check_count("n_init", n_init)
+        check_count("max_iter", self.max_iter)
+        check_positive("tol", self.tol)
+        check_count("n_init", self.n_init)
 
 
 def is_real(value) -> bool:
@@ -131,6 +126,25 @@ def check_nonnegative(name: str, value) -> None:
     """Raise ValueError unless ``value`` is a real from 0 to the largest float."""
     if not is_real(value) or not 0 <= value <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number >= 0")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a real above 0, up to the largest float."""
+    if not is_real(value) or not 0 < value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number > 0")
+
+
+def check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is None or an integer >= 0; a bool is not a seed."""
+    if seed is not None:
+        check_count("seed", seed, minimum=0)
+
+
+def _generator(seed) -> np.random.Generator:
+    """``seed`` if it is a numpy Generator, else a new one from the checked seed."""
+    if not isinstance(seed, np.random.Generator):
+        check_seed(seed)
+    return np.random.default_rng(seed)  # returns a Generator unaltered
 
 
 def check_k(k, n: int | None = None) -> None:
@@ -335,7 +349,7 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
     data = _as_data(data)
     n = data.shape[0]
     check_k(k, n)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
@@ -483,7 +497,7 @@ def lloyd(data, k: int, seed=None, max_iter: int = EngineSettings.max_iter,
     """
     data = _as_data(data)
     check_k(k, data.shape[0])
-    _check_settings(max_iter, tol, n_init)
+    EngineSettings(max_iter, tol, n_init)  # checks them
     if init is not None:
         if init.k != k or init.n_features != data.shape[1]:
             raise ShapeMismatchError(
@@ -493,7 +507,7 @@ def lloyd(data, k: int, seed=None, max_iter: int = EngineSettings.max_iter,
     if bounds is not None:
         raise ValueError("bounds apply only to a warm start from init")
 
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     best: KMeansResult | None = None
     for _ in range(n_init):
         result = _lloyd_single(data, k, kmeanspp_init(data, k, seed=rng), max_iter, tol)

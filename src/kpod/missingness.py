@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, QuantileFallbackWarning
-from .kmeans import Assignment, check_count, check_nonnegative, is_real
+from .kmeans import Assignment, _generator, check_count, check_nonnegative, check_seed, is_real
 from .masked import MaskedMatrix
 
 __all__ = [
@@ -65,8 +65,7 @@ class MechanismSpec:
     def __post_init__(self):
         if not is_real(self.target_rate) or not 0 < self.target_rate < 1:
             raise ValueError(f"target_rate must be in (0, 1), got {self.target_rate}")
-        if self.seed is not None:
-            check_count("seed", self.seed, minimum=0)
+        check_seed(self.seed)
         if self.kind is Mechanism.MAR:
             if not self.mar_columns:
                 raise ValueError("MAR requires a non-empty mar_columns")
@@ -97,8 +96,7 @@ class MixtureSpec:
         # exactly, which is the useful degenerate case for recovery tests.
         check_nonnegative("center_sd", self.center_sd)
         check_nonnegative("noise_variance", self.noise_variance)
-        if self.seed is not None:
-            check_count("seed", self.seed, minimum=0)
+        check_seed(self.seed)
 
 
 def simulate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Assignment]:
@@ -121,9 +119,9 @@ def perturb_dataset(values, rel_sd: float, seed=None) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     check_nonnegative("rel_sd", rel_sd)
-    if rel_sd == 0:
+    rng = _generator(seed)
+    if rel_sd == 0 or values.size == 0:
         return values.copy()
-    rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         perturbed = values + rng.standard_normal(values.shape) * np.abs(rel_sd * values.mean(axis=0))
     if not np.isfinite(perturbed).all():
@@ -214,6 +212,8 @@ def ampute(values, spec: MechanismSpec) -> MaskedMatrix:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise InfeasibleError(f"expected a 2-D array, got shape {values.shape}")
+    if values.size == 0:  # no row or column could keep an observed cell
+        raise InfeasibleError(f"cannot ampute an empty matrix of shape {values.shape}")
     if not np.isfinite(values).all():
         raise InfeasibleError("amputation requires a complete (all finite) matrix")
     n, p = values.shape

@@ -205,6 +205,17 @@ class TestRunner:
         with pytest.raises(ValueError, match="label_column"):
             FileDataset(path="pop.csv", label_column=None)
 
+    @pytest.mark.parametrize("path", [None, 5, ""], ids=repr)
+    def test_a_dataset_path_must_be_a_nonempty_string(self, path):
+        # Not str() of it: null would open a file named None, and "" the
+        # working directory.
+        with pytest.raises(ValueError, match=r"\bpath\b"):
+            FileDataset(path=path, label_column="class")
+        raw = {"dataset": {"path": path, "label_column": "class"}, "k": 2,
+               "mechanisms": ["mcar"], "rates": [0.25], "trials": 1, "base_seed": 9}
+        with pytest.raises(ValueError, match=r"\bpath\b"):
+            ScenarioGrid.from_dict(raw)
+
     def test_unstandardizable_trial_gives_error_rows(self):
         # Squared deviations near 1e200 overflow, so standardize raises for
         # every trial; a MAR rate of 0.4 needs 96 cells of a 40x6 matrix, more
@@ -425,7 +436,37 @@ class TestConfigParsing:
         code = cli(["benchmark", "--config", str(config), "--output", str(tmp_path / "r.csv")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:") and field in err
+        # An inner_ key is named by its EngineSettings field.
+        assert err.startswith("error:") and field.removeprefix("inner_") in err
+
+    @pytest.mark.parametrize("text", [
+        "null", "true", '"0.2"', "[0.2]", "1e400", "Infinity", "1" + "0" * 399,
+    ], ids=["null", "true", "str", "array", "1e400", "Infinity", "400-digit-int"])
+    @pytest.mark.parametrize("key, build", [
+        ("rates", lambda v: tiny_grid(rates=(v,))),
+        ("mm_tol", lambda v: KPodConfig(k=2, mm_tol=v)),
+        ("mm_tol", lambda v: tiny_grid(mm_tol=v)),
+        ("inner_tol", lambda v: EngineSettings(tol=v)),
+        ("perturb_rel_sd", lambda v: tiny_grid(perturb_rel_sd=v)),
+        ("mixture.center_sd", lambda v: MixtureSpec(n=20, p=4, k=2, center_sd=v)),
+        ("mixture.noise_variance", lambda v: MixtureSpec(n=20, p=4, k=2, noise_variance=v)),
+    ], ids=["rates", "mm_tol-KPodConfig", "mm_tol-grid", "inner_tol", "perturb_rel_sd",
+            "center_sd", "noise_variance"])
+    def test_a_config_number_is_judged_as_in_code(self, key, build, text, tmp_path, capsys):
+        # The reader only shapes JSON: the dataclass that holds a number judges
+        # it, so a config and a library caller see the same ValueError. 1e400
+        # and Infinity read as inf, and no integer past the largest float is
+        # finite.
+        section, _, field = key.rpartition(".")
+        with pytest.raises(ValueError, match=rf"\b{field.removeprefix('inner_')}\b") as built:
+            build(json.loads(text))
+        raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "k": 2, "mechanisms": ["mcar"],
+               "rates": [0.25], "trials": 1, "base_seed": 9}
+        (raw[section] if section else raw)[field] = ["BAD"] if key == "rates" else "BAD"
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(raw).replace('"BAD"', text))
+        code = cli(["benchmark", "--config", str(config), "--output", str(tmp_path / "r.csv")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {built.value}\n")
 
     @pytest.mark.parametrize("section, body", [
         ("mixture", {"n": 20, "p": 4, "k": 2, "centre_sd": 1e9}),

@@ -71,6 +71,18 @@ class TestAmpute:
         masked_cols = {j for row in rows for j, c in enumerate(row) if c == "NA"}
         assert masked_cols <= {0, 3}
 
+    @pytest.mark.parametrize("columns", ["a", "0,1.5"])
+    @pytest.mark.parametrize("exists", [True, False], ids=["input", "no-input"])
+    def test_a_mar_column_that_is_no_index_is_named(self, tmp_path, mixture_csv, capsys,
+                                                    columns, exists):
+        # The error a config's mar_columns gives, before the input is read.
+        data = mixture_csv[0] if exists else tmp_path / "nope.csv"
+        out = tmp_path / "masked.csv"
+        assert run(["ampute", "--input", data, "--output", out, "--mechanism", "mar",
+                    "--mar-columns", columns, "--rate", 0.1]) == 1
+        assert capsys.readouterr().err == "error: mar_columns must be an integer >= 0\n"
+        assert not out.exists()
+
 
 class TestCluster:
     def test_kpod_outputs(self, tmp_path, mixture_csv):
@@ -235,23 +247,25 @@ class TestBenchmark:
         assert capsys.readouterr().err == "error: workers must be an integer >= 1\n"
         assert not report.exists()
 
-    def test_trials_override_and_no_timing_reproducible(self, tmp_path):
+    def test_trials_come_from_the_config_and_no_timing_reproducible(self, tmp_path):
         config = {
             "mixture": {"n": 30, "p": 5, "k": 2},
             "k": 2,
             "mechanisms": ["mcar"],
             "rates": [0.3],
             "methods": ["kpod"],
-            "trials": 5,
+            "trials": 2,
             "base_seed": 4,
         }
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text(json.dumps(config))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(["benchmark", "--config", cfg_path, "--output", a, "--trials", 2, "--no-timing"])
-        run(["benchmark", "--config", cfg_path, "--output", b, "--trials", 2, "--no-timing"])
+        run(["benchmark", "--config", cfg_path, "--output", a, "--no-timing"])
+        run(["benchmark", "--config", cfg_path, "--output", b, "--no-timing"])
         assert len(a.read_text().splitlines()) == 3
         assert a.read_bytes() == b.read_bytes()
+        # The config is the one source of trials: there is no flag for them.
+        assert run(["benchmark", "--config", cfg_path, "--output", a, "--trials", 1]) == 2
 
 
 class TestExitCodes:

@@ -1,12 +1,17 @@
 import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import kpod
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,3 +76,46 @@ def test_a_star_import_binds_the_public_names():
     public = {name for name, value in vars(kpod).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(kpod.__all__)
+
+
+DATA = np.arange(12.0).reshape(6, 2)
+MASKED = kpod.MaskedMatrix(values=DATA, observed=np.ones(DATA.shape, dtype=bool))
+# One call per seeded entry point of the package, on small valid inputs.
+SEEDED = {
+    "lloyd": lambda seed: kpod.lloyd(DATA, 2, seed=seed),
+    "kmeanspp_init": lambda seed: kpod.kmeanspp_init(DATA, 2, seed=seed),
+    "mean_impute_cluster": lambda seed: kpod.mean_impute_cluster(MASKED, 2, seed=seed),
+    "delete_cluster": lambda seed: kpod.delete_cluster(MASKED, 2, seed=seed),
+    "perturb_dataset": lambda seed: kpod.perturb_dataset(DATA, 0.1, seed=seed),
+    "KPodConfig": lambda seed: kpod.KPodConfig(k=2, seed=seed),
+    "MixtureSpec": lambda seed: kpod.MixtureSpec(n=5, p=2, k=2, seed=seed),
+    "MechanismSpec": lambda seed: kpod.MechanismSpec(kind=kpod.Mechanism.MCAR, target_rate=0.2,
+                                                     seed=seed),
+}
+
+
+def _parameters(value):
+    try:
+        return inspect.signature(value).parameters
+    except (TypeError, ValueError):  # no signature, as for the exception classes
+        return {}
+
+
+def test_every_seeded_entry_point_is_listed():
+    # A new seeded entry point fails here until SEEDED checks its seed.
+    seeded = {name for name in kpod.__all__ if "seed" in _parameters(getattr(kpod, name))}
+    assert seeded == set(SEEDED)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_every_seeded_entry_point_checks_its_seed(name):
+    # A seed numpy would refuse, or take as another seed, is an error naming it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (-1, 1.5, True):
+            with pytest.raises(ValueError, match=r"\bseed\b"):
+                SEEDED[name](bad)
+        for good in (None, 2**64 - 1):
+            SEEDED[name](good)
+        if name in ("lloyd", "kmeanspp_init"):  # lloyd seeds from its own generator
+            SEEDED[name](np.random.default_rng(0))

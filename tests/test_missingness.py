@@ -118,6 +118,13 @@ class TestPerturb:
         values = np.arange(12.0).reshape(4, 3)
         assert np.array_equal(perturb_dataset(values, 0.0, seed=0), values)
 
+    def test_a_matrix_with_no_rows_is_returned_as_it_is(self):
+        values = np.zeros((0, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            perturbed = perturb_dataset(values, 0.1, seed=0)
+        assert perturbed.shape == (0, 3) and perturbed is not values
+
     def test_monte_carlo_sd_matches_column_mean_rule(self):
         values = np.full((20000, 1), 10.0)
         noisy = perturb_dataset(values, 0.1, seed=2)
@@ -198,6 +205,16 @@ class TestAmputeMcar:
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(InfeasibleError, match=r"^expected a 2-D array, got shape \(3,\)$"):
             ampute(np.ones(3), MechanismSpec(kind=Mechanism.MCAR, target_rate=0.3))
+
+    @pytest.mark.parametrize("kind", list(Mechanism))
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_a_matrix_with_no_cells_is_infeasible(self, shape, kind):
+        # No row or column of it could keep an observed cell.
+        spec = MechanismSpec(kind=kind, target_rate=0.3, mar_columns=(0,), seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleError, match="empty matrix"):
+                ampute(np.zeros(shape), spec)
 
 
 @settings(deadline=None, max_examples=300)
