@@ -25,7 +25,7 @@ from .baselines import delete_cluster, mean_impute_cluster
 from .errors import DeletionInfeasibleError, InfeasibleError, KPodError
 from .evaluation import adjusted_rand_index, rand_index
 from .csv_io import read_masked_csv, write_csv
-from .kmeans import Assignment, EngineSettings, check_count, check_nonnegative, is_real
+from .kmeans import Assignment, EngineSettings, check_count, check_nonnegative, check_rate
 from .masked import MaskedMatrix, standardize
 from .missingness import Mechanism, MechanismSpec, MixtureSpec, ampute, perturb_dataset, simulate_mixture
 from .mm import KPodConfig, kpod_fit
@@ -118,14 +118,23 @@ class ScenarioGrid:
         check_nonnegative("perturb_rel_sd", self.perturb_rel_sd)
         if not isinstance(self.standardize, bool):
             raise ValueError("standardize must be true or false")
+        if not isinstance(self.dataset, (FileDataset, MixtureSpec)):
+            raise ValueError("dataset must be a FileDataset or a MixtureSpec")
         for name in ("mechanisms", "rates", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        if not all(is_real(r) and 0 < r < 1 for r in self.rates):
-            raise ValueError("rates must lie in (0, 1)")
+        if not all(isinstance(m, MechanismSpec) for m in self.mechanisms):
+            raise ValueError("mechanisms must be MechanismSpec objects")
+        for rate in self.rates:
+            check_rate("rates", rate)
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+        # A repeat would give two rows one report key, which the summary merges.
+        for name, items in (("mechanisms", [m.kind for m in self.mechanisms]),
+                            ("rates", self.rates), ("methods", self.methods)):
+            if len(set(items)) < len(items):
+                raise ValueError(f"{name} must not repeat")
 
     def kpod_config(self, seed: int | None = None) -> KPodConfig:
         """The fit settings of this grid's runs, with clustering seed ``seed``."""
@@ -154,15 +163,10 @@ class ScenarioGrid:
         else:
             raise KPodError("config needs either a 'mixture' or a 'dataset' section")
 
-        mar_columns = [_count(c) for c in _array(raw, "mar_columns", ())]
-        mechanisms = []
-        for name in _array(raw, "mechanisms"):
-            kind = Mechanism.parse(name)
-            mechanisms.append(MechanismSpec(
-                kind=kind,
-                target_rate=0.5,  # placeholder; the grid's rates apply per cell
-                mar_columns=mar_columns if kind is Mechanism.MAR else None,
-            ))
+        mar_columns = [_count(c) for c in _array(raw, "mar_columns", ())] or None
+        # target_rate is a placeholder; the grid's rates apply per cell.
+        mechanisms = [MechanismSpec(kind=Mechanism.parse(name), target_rate=0.5,
+                                    mar_columns=mar_columns) for name in _array(raw, "mechanisms")]
 
         engine = EngineSettings(
             max_iter=_count(raw.pop("inner_max_iter", EngineSettings.max_iter)),

@@ -111,14 +111,10 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_count(name: str, value, minimum: int = 1) -> None:
     """Raise ValueError unless ``value`` is an integer >= ``minimum``. A bool
     is not a count."""
-    if not _is_integer(value) or value < minimum:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
@@ -132,6 +128,12 @@ def check_positive(name: str, value) -> None:
     """Raise ValueError unless ``value`` is a real above 0, up to the largest float."""
     if not is_real(value) or not 0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number > 0")
+
+
+def check_rate(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a real strictly between 0 and 1."""
+    if not is_real(value) or not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
 
 
 def check_seed(seed) -> None:
@@ -148,12 +150,11 @@ def _generator(seed) -> np.random.Generator:
 
 
 def check_k(k, n: int | None = None) -> None:
-    """Raise ValueError unless ``k`` is an integer (a bool is not one), and
-    InfeasibleError unless k >= 1 and, for centers chosen from ``n`` rows, k <= n."""
-    if not _is_integer(k):
-        raise ValueError("k must be an integer")
-    if k < 1 or (n is not None and k > n):
-        raise InfeasibleError(f"need 1 <= k <= n rows, got k={k}, n={n}")
+    """Raise ValueError unless ``k`` is a count, an integer >= 1 (a bool is not
+    one), and InfeasibleError if it asks for more centers than ``n`` rows hold."""
+    check_count("k", k)
+    if n is not None and k > n:
+        raise InfeasibleError(f"need k <= n rows, got k={k}, n={n}")
 
 
 def _as_data(data, a: Assignment | None = None, b: Centroids | None = None) -> np.ndarray:
@@ -490,19 +491,17 @@ def lloyd(data, k: int, seed=None, max_iter: int = EngineSettings.max_iter,
     centers and objective, which that update would reproduce bit for bit.
     The objective is non-increasing across sweeps. With ``init=None``,
     centers come from ``n_init`` distance-squared seedings and the best
-    final objective wins; with an explicit ``init`` a single warm-started run
-    is performed, and ``bounds`` (a :class:`RowBounds` for the rows of
-    ``data``, updated in place) lets its sweeps skip rows whose label cannot
-    change, with the same result. Deterministic given ``seed``.
+    final objective wins; with an explicit ``init`` of k centers, a single
+    warm-started run is performed, and ``bounds`` (a :class:`RowBounds` for
+    the rows of ``data``, updated in place) lets its sweeps skip rows whose
+    label cannot change, with the same result. Deterministic given ``seed``.
     """
     data = _as_data(data)
     check_k(k, data.shape[0])
     EngineSettings(max_iter, tol, n_init)  # checks them
     if init is not None:
-        if init.k != k or init.n_features != data.shape[1]:
-            raise ShapeMismatchError(
-                f"init centers shape {init.centers.shape} incompatible with k={k}, p={data.shape[1]}"
-            )
+        if init.k != k:
+            raise ShapeMismatchError(f"init has {init.k} centers, k={k}")
         return _lloyd_single(data, k, init, max_iter, tol, bounds)
     if bounds is not None:
         raise ValueError("bounds apply only to a warm start from init")

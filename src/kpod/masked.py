@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, InfeasibleError, ShapeMismatchError
+from .kmeans import _as_data
 
 __all__ = [
     "MaskedMatrix",
@@ -42,10 +43,8 @@ class MaskedMatrix:
     observed: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _as_data(self.values)
         observed = np.asarray(self.observed, dtype=bool)
-        if values.ndim != 2:
-            raise ShapeMismatchError(f"values must be 2-D, got shape {values.shape}")
         if observed.shape != values.shape:
             raise ShapeMismatchError(
                 f"mask shape {observed.shape} does not match values shape {values.shape}"
@@ -158,19 +157,23 @@ def column_stats(x: MaskedMatrix) -> ColumnStats:
     """Observed-entry column means and sample standard deviations.
 
     Raises :class:`DegenerateColumnError` for any column with no observed
-    entries, and :class:`InfeasibleError` for any column whose mean overflows,
-    naming the first offending column.
+    entries, and :class:`InfeasibleError` naming the first column whose mean,
+    else whose standard deviation, overflows. It raises no numpy warning.
     """
     means, counts = observed_means(x)
     # The mask is stored in C order, so (values - means) * observed comes out
     # in C order; working in it keeps the column sums' order and bits even
     # when the values are in Fortran order.
-    centered = np.subtract(x.values, means, order="C")
-    np.multiply(centered, x.observed, out=centered)
-    np.multiply(centered, centered, out=centered)
-    ssq = np.sum(centered, axis=0)
-    std_devs = np.sqrt(ssq / np.maximum(counts - 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = np.subtract(x.values, means, order="C")
+        np.multiply(centered, x.observed, out=centered)
+        np.multiply(centered, centered, out=centered)
+        std_devs = np.sqrt(np.sum(centered, axis=0) / np.maximum(counts - 1, 1))
     std_devs[counts < 2] = 0.0
+    overflowed = np.flatnonzero(~np.isfinite(std_devs))
+    if overflowed.size:
+        raise InfeasibleError(f"column {int(overflowed[0])}: observed standard deviation "
+                              "is not finite; its scale is too large")
     return ColumnStats(means=means, std_devs=std_devs, counts=counts)
 
 
@@ -182,19 +185,10 @@ def standardize(x: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
     than NaNs. The mask is unchanged. Returns the stats that were used so
     results can be mapped back to the original scale.
 
-    Raises :class:`InfeasibleError` naming the first column whose mean
-    overflows, else the first whose standard deviation does: dividing by it
-    would turn the column into zeros without a sign that anything went wrong.
-    It raises no numpy warning.
+    Raises the errors of :func:`column_stats`: dividing by a standard deviation
+    that overflows would zero its column without a sign that anything went wrong.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = column_stats(x)
-    overflowed = np.flatnonzero(~np.isfinite(stats.std_devs))
-    if overflowed.size:
-        raise InfeasibleError(
-            f"column {int(overflowed[0])}: observed standard deviation is not finite; "
-            "its scale is too large to standardize"
-        )
+    stats = column_stats(x)
     scale = np.where(stats.std_devs > 0, stats.std_devs, 1.0)
     scaled = np.subtract(x.values, stats.means)
     np.divide(scaled, scale, out=scaled)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, QuantileFallbackWarning
-from .kmeans import Assignment, _generator, check_count, check_nonnegative, check_seed, is_real
+from .kmeans import (Assignment, _as_data, _generator, check_count, check_nonnegative,
+                     check_rate, check_seed)
 from .masked import MaskedMatrix
 
 __all__ = [
@@ -55,7 +56,8 @@ class Mechanism(enum.Enum):
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """Which mechanism to simulate, at what overall rate, with what seed."""
+    """Which mechanism to simulate, at what overall rate, with what seed. ``mar_columns``,
+    indices >= 0, are judged whenever given; only MAR reads them, and needs one."""
 
     kind: Mechanism
     target_rate: float
@@ -63,15 +65,14 @@ class MechanismSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if not is_real(self.target_rate) or not 0 < self.target_rate < 1:
-            raise ValueError(f"target_rate must be in (0, 1), got {self.target_rate}")
+        check_rate("target_rate", self.target_rate)
         check_seed(self.seed)
-        if self.kind is Mechanism.MAR:
-            if not self.mar_columns:
-                raise ValueError("MAR requires a non-empty mar_columns")
+        if self.mar_columns is not None:
             for c in self.mar_columns:
                 check_count("mar_columns", c, minimum=0)
             object.__setattr__(self, "mar_columns", tuple(int(c) for c in self.mar_columns))
+        if self.kind is Mechanism.MAR and not self.mar_columns:
+            raise ValueError("MAR requires a non-empty mar_columns")
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,10 @@ def perturb_dataset(values, rel_sd: float, seed=None) -> np.ndarray:
 
     Scaling the noise to each column's mean keeps the perturbation
     proportionate across variables of very different magnitudes. Columns whose
-    mean is zero receive no noise. Noise that overflows raises
-    InfeasibleError, not a numpy warning.
+    mean is zero receive no noise. ``values`` must be 2-D (ShapeMismatchError);
+    noise that overflows raises InfeasibleError, not a numpy warning.
     """
-    values = np.asarray(values, dtype=float)
+    values = _as_data(values)
     check_nonnegative("rel_sd", rel_sd)
     rng = _generator(seed)
     if rel_sd == 0 or values.size == 0:
@@ -207,11 +208,10 @@ def ampute(values, spec: MechanismSpec) -> MaskedMatrix:
 
     The input array is never modified. The returned matrix stores 0.0 at the
     hidden cells (the mask is authoritative); oracles that need the hidden
-    originals should keep the input array alongside the returned mask.
+    originals should keep the input array alongside the returned mask. A
+    matrix not 2-D is a ShapeMismatchError, one empty or incomplete infeasible.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise InfeasibleError(f"expected a 2-D array, got shape {values.shape}")
+    values = _as_data(values)
     if values.size == 0:  # no row or column could keep an observed cell
         raise InfeasibleError(f"cannot ampute an empty matrix of shape {values.shape}")
     if not np.isfinite(values).all():

@@ -37,6 +37,8 @@ class KPodConfig:
         check_count("max_mm_iter", self.max_mm_iter)
         check_seed(self.seed)
         check_positive("mm_tol", self.mm_tol)
+        if not isinstance(self.inner, EngineSettings):
+            raise ValueError("inner must be an EngineSettings")
 
 
 @dataclass(frozen=True, eq=False)

@@ -382,15 +382,21 @@ class TestConfigParsing:
          "noise_variance"),
         (lambda: perturb_dataset(np.ones((3, 2)), 10**400), ValueError, "rel_sd"),
         (lambda: tiny_grid(perturb_rel_sd=10**400), ValueError, "perturb_rel_sd"),
+        (lambda: tiny_grid(dataset={"n": 40, "p": 6, "k": 3}), ValueError, "dataset"),
+        (lambda: tiny_grid(mechanisms=("mcar",)), ValueError, "mechanisms"),
+        (lambda: tiny_grid(engine={"max_iter": 5}), ValueError, "inner"),
+        (lambda: KPodConfig(k=2, inner={"max_iter": 5}), ValueError, "inner"),
     ], ids=["mm_tol-str", "mm_tol-none", "tol-str", "lloyd-tol-none", "center_sd-str",
             "noise_variance-none", "target_rate-str", "target_rate-none", "rel_sd-str",
             "rates-str", "grid-mm_tol-str", "mechanism-int", "tol-bool", "mm_tol-bool",
             "lloyd-tol-bool", "center_sd-past-max", "noise_variance-past-max",
-            "rel_sd-past-max", "grid-perturb_rel_sd-past-max"])
+            "rel_sd-past-max", "grid-perturb_rel_sd-past-max", "grid-dataset-dict",
+            "grid-mechanism-str", "grid-engine-dict", "inner-dict"])
     def test_a_setting_of_the_wrong_type_raises_the_settings_error(self, build, error, name):
         # The error a value out of range raises, naming the setting, not a
-        # TypeError or OverflowError. A bool is not a number, and an int past
-        # the largest float is out of range.
+        # TypeError, OverflowError or AttributeError. A bool is not a number,
+        # and an int past the largest float is out of range. A grid's engine
+        # is judged as the KPodConfig field it fills.
         with pytest.raises(error, match=rf"\b{name}\b"):
             build()
 
@@ -425,6 +431,7 @@ class TestConfigParsing:
         ("mixture.noise_variance", True), ("mixture.noise_variance", {}),
         ("mm_tol", 10**400),
         ("rates", 0.25), ("mechanisms", "mcar"), ("methods", "kpod"), ("mar_columns", 0),
+        ("mar_columns", ["a", -3]), ("mar_columns", [-3]),
     ], ids=str)
     def test_a_number_of_another_json_type_is_an_error(self, key, bad, tmp_path, capsys):
         raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "k": 2, "mechanisms": ["mcar"],
@@ -486,6 +493,23 @@ class TestConfigParsing:
         raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "k": 2, "mechanisms": ["mcar"],
                "rates": [0.25], "trials": 1, "base_seed": 9, key: []}
         with pytest.raises(ValueError, match=f"{key} must not be empty"):
+            ScenarioGrid.from_dict(raw)
+
+    @pytest.mark.parametrize("key, config, built", [
+        ("mechanisms", ["mcar", "MCAR"],
+         tuple(MechanismSpec(kind=Mechanism.MAR, target_rate=0.5, mar_columns=(c,)) for c in (0, 1))),
+        ("rates", [0.2, 0.2], (0.2, np.float64(0.2))),
+        ("methods", ["kpod", "kpod"], ("kpod", "kpod")),
+    ], ids=["mechanisms", "rates", "methods"])
+    def test_repeats_rejected(self, key, config, built):
+        # A repeat gives two rows one (mechanism, rate, method, trial) key,
+        # which the summary would merge into one group of twice the count.
+        # Mechanisms repeat by their kind.
+        with pytest.raises(ValueError, match=f"^{key} must not repeat$"):
+            tiny_grid(**{key: built})
+        raw = {"mixture": {"n": 20, "p": 4, "k": 2}, "k": 2, "mechanisms": ["mcar"],
+               "rates": [0.25], "trials": 1, "base_seed": 9, key: config}
+        with pytest.raises(ValueError, match=f"^{key} must not repeat$"):
             ScenarioGrid.from_dict(raw)
 
     def test_the_readme_schema_parses(self):

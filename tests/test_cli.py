@@ -75,13 +75,15 @@ class TestAmpute:
     @pytest.mark.parametrize("exists", [True, False], ids=["input", "no-input"])
     def test_a_mar_column_that_is_no_index_is_named(self, tmp_path, mixture_csv, capsys,
                                                     columns, exists):
-        # The error a config's mar_columns gives, before the input is read.
+        # The error a config's mar_columns gives, before the input is read,
+        # for every mechanism: a list that is given is judged.
         data = mixture_csv[0] if exists else tmp_path / "nope.csv"
         out = tmp_path / "masked.csv"
-        assert run(["ampute", "--input", data, "--output", out, "--mechanism", "mar",
-                    "--mar-columns", columns, "--rate", 0.1]) == 1
-        assert capsys.readouterr().err == "error: mar_columns must be an integer >= 0\n"
-        assert not out.exists()
+        for mechanism in ("mar", "mcar"):
+            assert run(["ampute", "--input", data, "--output", out, "--mechanism", mechanism,
+                        "--mar-columns", columns, "--rate", 0.1]) == 1
+            assert capsys.readouterr().err == "error: mar_columns must be an integer >= 0\n"
+            assert not out.exists()
 
 
 class TestCluster:

@@ -119,3 +119,76 @@ def test_every_seeded_entry_point_checks_its_seed(name):
             SEEDED[name](good)
         if name in ("lloyd", "kmeanspp_init"):  # lloyd seeds from its own generator
             SEEDED[name](np.random.default_rng(0))
+
+
+GRID_PARTS = dict(dataset=kpod.MixtureSpec(n=5, p=2, k=2),
+                  mechanisms=(kpod.MechanismSpec(kind=kpod.Mechanism.MCAR, target_rate=0.2),),
+                  rates=(0.2,), methods=("kpod",), trials=1, base_seed=0)
+# One call per entry point of the package that takes k, on small valid inputs.
+TAKES_K = {
+    "lloyd": lambda k: kpod.lloyd(DATA, k, seed=0),
+    "kmeanspp_init": lambda k: kpod.kmeanspp_init(DATA, k, seed=0),
+    "update_step": lambda k: kpod.update_step(DATA, kpod.Assignment(labels=[0] * 6), k),
+    "mean_impute_cluster": lambda k: kpod.mean_impute_cluster(MASKED, k, seed=0),
+    "delete_cluster": lambda k: kpod.delete_cluster(MASKED, k, seed=0),
+    "KPodConfig": lambda k: kpod.KPodConfig(k=k),
+    "MixtureSpec": lambda k: kpod.MixtureSpec(n=5, p=2, k=k),
+    "ScenarioGrid": lambda k: kpod.ScenarioGrid(k=k, **GRID_PARTS),
+}
+# Those that choose their centers from the rows of DATA.
+CHOOSE_ROWS = ("lloyd", "kmeanspp_init", "mean_impute_cluster", "delete_cluster")
+
+
+def test_every_entry_point_that_takes_k_is_listed():
+    # A new entry point that takes k fails here until TAKES_K checks it.
+    takes_k = {name for name in kpod.__all__ if "k" in _parameters(getattr(kpod, name))}
+    assert takes_k == set(TAKES_K)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_K))
+def test_every_entry_point_that_takes_k_checks_it(name):
+    # A k that is no count is a ValueError naming k, wherever it is given;
+    # only more centers than rows, which depends on the data, is infeasible.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match=r"\bk\b"):
+                TAKES_K[name](bad)
+        TAKES_K[name](2)
+        if name in CHOOSE_ROWS:
+            with pytest.raises(kpod.InfeasibleError, match=r"\bk\b"):
+                TAKES_K[name](len(DATA) + 1)
+
+
+# One call per entry point whose first parameter is a raw data matrix.
+TAKES_MATRIX = {
+    "lloyd": lambda data: kpod.lloyd(data, 2, seed=0),
+    "kmeanspp_init": lambda data: kpod.kmeanspp_init(data, 2, seed=0),
+    "assign_step": lambda data: kpod.assign_step(data, kpod.Centroids(centers=[[0.0, 1.0]])),
+    "update_step": lambda data: kpod.update_step(data, kpod.Assignment(labels=[0] * 6), 2),
+    "kmeans_objective": lambda data: kpod.kmeans_objective(
+        data, kpod.Assignment(labels=[0] * 6), kpod.Centroids(centers=[[0.0, 1.0]])),
+    "MaskedMatrix": lambda data: kpod.MaskedMatrix(values=data,
+                                                   observed=np.ones(np.shape(data), dtype=bool)),
+    "ampute": lambda data: kpod.ampute(data, kpod.MechanismSpec(kind=kpod.Mechanism.MCAR,
+                                                                target_rate=0.2, seed=0)),
+    "perturb_dataset": lambda data: kpod.perturb_dataset(data, 0.1, seed=0),
+}
+
+
+def test_every_entry_point_that_takes_a_matrix_is_listed():
+    # A new one fails here until TAKES_MATRIX checks its shape rule.
+    takes = {name for name in kpod.__all__
+             if list(_parameters(getattr(kpod, name)))[:1] in (["data"], ["values"])}
+    assert takes == set(TAKES_MATRIX)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_MATRIX))
+def test_every_entry_point_that_takes_a_matrix_needs_two_dimensions(name):
+    # The engine's one 2-D rule, with its error, wherever a matrix comes in.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (DATA.ravel()[:6], DATA.reshape(6, 1, 2)):
+            with pytest.raises(kpod.ShapeMismatchError, match=r"^data must be 2-D"):
+                TAKES_MATRIX[name](bad)
+        TAKES_MATRIX[name](DATA)

@@ -298,10 +298,11 @@ class TestKPodFit:
         x = MaskedMatrix(values=np.ones((3, 2)), observed=np.ones((3, 2), bool))
         with pytest.raises(InfeasibleError):
             kpod_fit(x, KPodConfig(k=4, seed=0))
-        # delete_cluster leaves the k check to lloyd, with the same message.
-        for k in (0, 4):
-            with pytest.raises(InfeasibleError, match=rf"^need 1 <= k <= n rows, got k={k}, n=3$"):
-                delete_cluster(x, k, seed=0)
+        # delete_cluster leaves the k check to lloyd, with the same messages.
+        with pytest.raises(InfeasibleError, match="^need k <= n rows, got k=4, n=3$"):
+            delete_cluster(x, 4, seed=0)
+        with pytest.raises(ValueError, match="^k must be an integer >= 1$"):
+            delete_cluster(x, 0, seed=0)
 
     def test_empty_column_rejected(self):
         observed = np.ones((5, 3), bool)
