@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DeletionInfeasibleError
-from .kmeans import EngineSettings, KMeansResult, lloyd
+from .kmeans import EngineSettings, KMeansResult, check_type, lloyd
 from .masked import MaskedMatrix
 from .mm import init_fill, validate_clusterable
 
@@ -19,8 +19,9 @@ def mean_impute_cluster(x: MaskedMatrix, k: int, seed=None,
 
     This is exactly the zero-iteration starting point of :func:`kpod_fit`:
     given the same seed and engine settings, its labels match that fit's
-    initial clustering label for label.
+    initial clustering label for label. An ``engine`` of another type is a ValueError.
     """
+    check_type("engine", engine, EngineSettings)
     validate_clusterable(x, k)
     return lloyd(init_fill(x), k, seed=seed,
                  max_iter=engine.max_iter, tol=engine.tol, n_init=engine.n_init)
@@ -32,8 +33,9 @@ def delete_cluster(x: MaskedMatrix, k: int, seed=None,
 
     Returns the clustering plus the indices of the fully observed columns
     that survived. Raises :class:`DeletionInfeasibleError` when no column is
-    fully observed.
+    fully observed, and ValueError for an ``engine`` of another type.
     """
+    check_type("engine", engine, EngineSettings)
     kept = np.flatnonzero(x.observed.all(axis=0))
     if kept.size == 0:
         raise DeletionInfeasibleError("every column contains missing entries")

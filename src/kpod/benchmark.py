@@ -25,7 +25,8 @@ from .baselines import delete_cluster, mean_impute_cluster
 from .errors import DeletionInfeasibleError, InfeasibleError, KPodError
 from .evaluation import adjusted_rand_index, rand_index
 from .csv_io import read_masked_csv, write_csv
-from .kmeans import Assignment, EngineSettings, check_count, check_nonnegative, check_rate
+from .kmeans import (Assignment, EngineSettings, check_count, check_nonnegative, check_rate,
+                     check_type)
 from .masked import MaskedMatrix, standardize
 from .missingness import Mechanism, MechanismSpec, MixtureSpec, ampute, perturb_dataset, simulate_mixture
 from .mm import KPodConfig, kpod_fit
@@ -56,8 +57,7 @@ class FileDataset:
     def __post_init__(self):
         if not isinstance(self.path, str) or not self.path:
             raise ValueError("a benchmark dataset needs a path")
-        if not isinstance(self.label_column, str):
-            raise ValueError("a benchmark dataset needs a label_column")
+        check_type("label_column", self.label_column, str)
 
 
 def _count(value):
@@ -116,15 +116,13 @@ class ScenarioGrid:
         check_count("trials", self.trials)
         check_count("base_seed", self.base_seed, minimum=0)
         check_nonnegative("perturb_rel_sd", self.perturb_rel_sd)
-        if not isinstance(self.standardize, bool):
-            raise ValueError("standardize must be true or false")
-        if not isinstance(self.dataset, (FileDataset, MixtureSpec)):
-            raise ValueError("dataset must be a FileDataset or a MixtureSpec")
+        check_type("standardize", self.standardize, bool)
+        check_type("dataset", self.dataset, FileDataset, MixtureSpec)
         for name in ("mechanisms", "rates", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        if not all(isinstance(m, MechanismSpec) for m in self.mechanisms):
-            raise ValueError("mechanisms must be MechanismSpec objects")
+        for mechanism in self.mechanisms:
+            check_type("mechanisms", mechanism, MechanismSpec)
         for rate in self.rates:
             check_rate("rates", rate)
         unknown = [m for m in self.methods if m not in METHODS]

@@ -157,6 +157,18 @@ def check_k(k, n: int | None = None) -> None:
         raise InfeasibleError(f"need k <= n rows, got k={k}, n={n}")
 
 
+def check_type(name: str, value, *kinds: type) -> None:
+    """Raise ValueError unless the setting ``value`` is an instance of one of ``kinds``."""
+    if not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {' or '.join(kind.__name__ for kind in kinds)}")
+
+
+def check_finite(name: str, values: np.ndarray) -> None:
+    """Raise InfeasibleError unless every cell of ``values``, the array ``name``, is finite."""
+    if not np.isfinite(values).all():
+        raise InfeasibleError(f"{name} must be finite")
+
+
 def _as_data(data, a: Assignment | None = None, b: Centroids | None = None) -> np.ndarray:
     """``data`` as a 2-D float array. ShapeMismatchError unless it is 2-D,
     has one row per label of ``a`` and, for centers ``b``, one column per feature."""
@@ -226,7 +238,9 @@ def _block_labels(block: np.ndarray, centers: np.ndarray):
     """:func:`_gemm_argmin`, with its unsure rows decided by the exact path."""
     best, unsure, gemm = _gemm_argmin(block, centers)
     if unsure.size:
-        best[unsure] = np.argmin(_sq_dists(block[unsure], centers), axis=1)
+        rows = block[unsure]
+        check_finite("data", rows)  # a row not finite has no finite bound, so is unsure
+        best[unsure] = np.argmin(_sq_dists(rows, centers), axis=1)
     return best, unsure, gemm
 
 
@@ -324,7 +338,8 @@ class RowBounds:
 
 
 def kmeans_objective(data, a: Assignment, b: Centroids) -> float:
-    """Within-cluster sum of squares of ``data`` under labels ``a`` and centers ``b``."""
+    """Within-cluster sum of squares of ``data`` under labels ``a`` and centers ``b``:
+    inf if it overflows, InfeasibleError for data that is not finite."""
     data = _as_data(data, a, b)
     try:
         diff = b.centers.take(a.labels, axis=0)
@@ -332,9 +347,13 @@ def kmeans_objective(data, a: Assignment, b: Centroids) -> float:
         raise IndexError(f"label {int(a.labels.max())} out of range for k={b.k}") from None
     np.subtract(data, diff, out=diff)
     np.multiply(diff, diff, out=diff)
-    return float(diff.sum())
+    total = float(diff.sum())
+    if not math.isfinite(total):  # an overflow, or data that is not finite
+        check_finite("data", data)
+    return total
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kmeanspp_init(data, k: int, seed=None) -> Centroids:
     """Choose k starting centers by distance-squared proportional sampling.
 
@@ -343,9 +362,9 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
     to the nearest center chosen so far. Deterministic given ``seed``.
 
     If the data holds fewer than k distinct rows the leftover centers are
-    duplicates, flagged with :class:`DuplicateCentersWarning`. Squared
-    distances whose sum overflows, also to the one center of k = 1, raise
-    :class:`InfeasibleError`.
+    duplicates, flagged with :class:`DuplicateCentersWarning`. Data that is
+    not finite, and squared distances whose sum overflows, also to the one
+    center of k = 1, raise :class:`InfeasibleError`, with no numpy warning.
     """
     data = _as_data(data)
     n = data.shape[0]
@@ -364,9 +383,9 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
         for start in range(0, n, _BLOCK_ROWS):
             near = d2[start:start + _BLOCK_ROWS]
             np.minimum(near, _sq_dists(data[start:start + _BLOCK_ROWS], center)[:, 0], out=near)
-        with np.errstate(over="ignore"):
-            total = d2.sum()
+        total = d2.sum()
         if not np.isfinite(total):
+            check_finite("data", data)
             raise InfeasibleError(
                 "squared distances overflow; the data's scale is too large to seed k-means"
             )
@@ -393,7 +412,7 @@ def assign_step(data, b: Centroids, bounds: RowBounds | None = None) -> Assignme
     Ties go to the lowest cluster index. With ``bounds``, the state of a warm
     solve, rows whose bounds prove their label keep it with no distance work,
     the rest are assigned and get new bounds, and ``bounds`` holds the
-    result; the labels are the same as without.
+    result; the labels are the same as without. Data that is not finite is infeasible.
     """
     data = _as_data(data, b=b)
     if bounds is None:
@@ -418,8 +437,8 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
 
     A cluster left empty is re-seeded with the data row farthest from its own
     (freshly updated) centroid; with several empty clusters each repair takes
-    a distinct row. Deterministic. A cluster sum that overflows raises
-    :class:`InfeasibleError`.
+    a distinct row. Deterministic. Data that is not finite, and a cluster sum
+    that overflows, raise :class:`InfeasibleError`.
     """
     data = _as_data(data, a)
     check_k(k)
@@ -439,8 +458,8 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
 
     empty = (counts == 0).nonzero()[0]
     if empty.size:
-        # A distance that overflows is inf, which is still the farthest.
-        with np.errstate(over="ignore"):
+        # Overflow gives inf, still the farthest; data that is not finite is refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
             own_d2 = np.sum((data - centers[labels]) ** 2, axis=1)
         for cluster in empty:
             far = int(np.argmax(own_d2))
@@ -448,7 +467,8 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
             own_d2[far] = -np.inf  # each repair takes a distinct row
     try:
         return Centroids(centers=centers)
-    except ValueError:  # the one check these centers can fail: a sum overflowed
+    except ValueError:  # the one check these centers can fail: a sum is not finite
+        check_finite("data", data)
         raise InfeasibleError(
             "cluster sums overflow; the data's scale is too large for k-means"
         ) from None

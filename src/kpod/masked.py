@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, InfeasibleError, ShapeMismatchError
-from .kmeans import _as_data
+from .kmeans import _as_data, check_finite
 
 __all__ = [
     "MaskedMatrix",
@@ -100,22 +100,24 @@ class ColumnStats:
     counts: np.ndarray
 
 
-def _check_same_shape(x: MaskedMatrix, other: np.ndarray) -> np.ndarray:
+def _check_same_shape(x: MaskedMatrix, other, name: str) -> np.ndarray:
     other = np.asarray(other, dtype=float)
     if other.shape != x.shape:
         raise ShapeMismatchError(
-            f"model shape {other.shape} does not match matrix shape {x.shape}"
+            f"{name} shape {other.shape} does not match matrix shape {x.shape}"
         )
+    check_finite(name, other)
     return other
 
 
+@np.errstate(over="ignore")
 def project_observed(x: MaskedMatrix, model) -> float:
     """Sum of squared differences between ``x`` and ``model`` over observed cells.
 
-    Unobserved positions are ignored entirely; the result is 0 exactly when
-    the model agrees with ``x`` on every observed entry.
+    Unobserved positions are ignored; the result is 0 exactly when the model agrees
+    with ``x`` on every observed entry, inf on overflow, and a model not finite is infeasible.
     """
-    model = _check_same_shape(x, model)
+    model = _check_same_shape(x, model, "model")
     diff = np.subtract(x.values, model)
     np.multiply(diff, x.observed, out=diff)
     np.multiply(diff, diff, out=diff)
@@ -125,9 +127,9 @@ def project_observed(x: MaskedMatrix, model) -> float:
 def fill_unobserved(x: MaskedMatrix, source) -> np.ndarray:
     """Return a dense array equal to ``x`` where observed and ``source`` elsewhere.
 
-    ``x`` itself is never mutated.
+    ``x`` itself is never mutated. A source that is not finite raises InfeasibleError.
     """
-    source = _check_same_shape(x, source)
+    source = _check_same_shape(x, source, "source")
     return np.where(x.observed, x.values, source)
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, QuantileFallbackWarning
-from .kmeans import (Assignment, _as_data, _generator, check_count, check_nonnegative,
-                     check_rate, check_seed)
+from .kmeans import (Assignment, _as_data, _generator, check_count, check_finite,
+                     check_nonnegative, check_rate, check_seed, check_type)
 from .masked import MaskedMatrix
 
 __all__ = [
@@ -65,6 +65,7 @@ class MechanismSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        check_type("kind", self.kind, Mechanism)
         check_rate("target_rate", self.target_rate)
         check_seed(self.seed)
         if self.mar_columns is not None:
@@ -101,12 +102,13 @@ class MixtureSpec:
 
 
 def simulate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Assignment]:
-    """Draw a complete (n, p) dataset and its generating labels."""
+    """Draw a complete (n, p) dataset and its generating labels; InfeasibleError if it overflows."""
     rng = np.random.default_rng(spec.seed)
     means = rng.normal(0.0, spec.center_sd, size=(spec.k, spec.p))
     labels = rng.integers(spec.k, size=spec.n)
     noise = rng.normal(0.0, math.sqrt(spec.noise_variance), size=(spec.n, spec.p))
     np.add(noise, means[labels], out=noise)  # the bits of means[labels] + noise
+    check_finite(f"a draw at center_sd={spec.center_sd}, noise_variance={spec.noise_variance}", noise)
     return noise, Assignment(labels=labels)
 
 
@@ -116,9 +118,10 @@ def perturb_dataset(values, rel_sd: float, seed=None) -> np.ndarray:
     Scaling the noise to each column's mean keeps the perturbation
     proportionate across variables of very different magnitudes. Columns whose
     mean is zero receive no noise. ``values`` must be 2-D (ShapeMismatchError);
-    noise that overflows raises InfeasibleError, not a numpy warning.
+    values or noise that are not finite raise InfeasibleError, not a numpy warning.
     """
     values = _as_data(values)
+    check_finite("values", values)
     check_nonnegative("rel_sd", rel_sd)
     rng = _generator(seed)
     if rel_sd == 0 or values.size == 0:
@@ -209,13 +212,12 @@ def ampute(values, spec: MechanismSpec) -> MaskedMatrix:
     The input array is never modified. The returned matrix stores 0.0 at the
     hidden cells (the mask is authoritative); oracles that need the hidden
     originals should keep the input array alongside the returned mask. A
-    matrix not 2-D is a ShapeMismatchError, one empty or incomplete infeasible.
+    matrix not 2-D is a ShapeMismatchError, one empty or not finite infeasible.
     """
     values = _as_data(values)
     if values.size == 0:  # no row or column could keep an observed cell
         raise InfeasibleError(f"cannot ampute an empty matrix of shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise InfeasibleError("amputation requires a complete (all finite) matrix")
+    check_finite("values", values)
     n, p = values.shape
     rng = np.random.default_rng(spec.seed)
     total = int(round(spec.target_rate * n * p))

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DegenerateRowError
 from .kmeans import (_BLOCK_ROWS, Assignment, Centroids, EngineSettings, KMeansResult, RowBounds,
-                     check_count, check_k, check_positive, check_seed, kmeans_objective, lloyd)
+                     check_count, check_k, check_positive, check_seed, check_type,
+                     kmeans_objective, lloyd)
 from .masked import MaskedMatrix, fill_unobserved, observed_means
 
 __all__ = ["KPodConfig", "KPodResult", "init_fill", "majorization_value", "kpod_fit"]
@@ -37,8 +38,7 @@ class KPodConfig:
         check_count("max_mm_iter", self.max_mm_iter)
         check_seed(self.seed)
         check_positive("mm_tol", self.mm_tol)
-        if not isinstance(self.inner, EngineSettings):
-            raise ValueError("inner must be an EngineSettings")
+        check_type("inner", self.inner, EngineSettings)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +69,7 @@ def init_fill(x: MaskedMatrix) -> np.ndarray:
     return np.where(x.observed, x.values, means)
 
 
+@np.errstate(over="ignore")
 def majorization_value(x: MaskedMatrix, a: Assignment, b: Centroids,
                        a_prev: Assignment, b_prev: Centroids) -> float:
     """Surrogate loss: the k-means objective, under ``(a, b)``, of the matrix
@@ -76,7 +77,7 @@ def majorization_value(x: MaskedMatrix, a: Assignment, b: Centroids,
 
     Equals the observed-entry objective exactly at ``(a, b) == (a_prev,
     b_prev)`` and dominates it everywhere else; labels or centers that do not
-    fit ``x`` raise ShapeMismatchError. Used in tests, not by the fit.
+    fit ``x`` raise ShapeMismatchError; overflow gives inf, unwarned. Used in tests, not the fit.
     """
     return kmeans_objective(fill_unobserved(x, b_prev.centers[a_prev.labels]), a, b)
 

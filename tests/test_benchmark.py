@@ -13,6 +13,7 @@ from kpod import (
     InfeasibleError,
     KPodConfig,
     KPodError,
+    MaskedMatrix,
     Mechanism,
     MechanismSpec,
     MixtureSpec,
@@ -20,8 +21,10 @@ from kpod import (
     ScenarioGrid,
     aggregate_rows,
     dataset_for_trial,
+    delete_cluster,
     derive_seed,
     lloyd,
+    mean_impute_cluster,
     perturb_dataset,
     run_benchmark,
     write_report,
@@ -35,6 +38,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # 240: the campaign's MAR@0.4 trials cannot be amputed, every other cell can.
 UNAMPUTABLE_CELL = {"mixture": {"n": 120, "p": 8, "k": 3}, "k": 3, "mechanisms": ["mcar", "mar"],
                     "mar_columns": [0, 1], "rates": [0.2, 0.4], "trials": 2, "base_seed": 5}
+
+MASKED = MaskedMatrix(values=np.arange(12.0).reshape(6, 2), observed=np.ones((6, 2), dtype=bool))
 
 
 def tiny_grid(**overrides):
@@ -386,12 +391,19 @@ class TestConfigParsing:
         (lambda: tiny_grid(mechanisms=("mcar",)), ValueError, "mechanisms"),
         (lambda: tiny_grid(engine={"max_iter": 5}), ValueError, "inner"),
         (lambda: KPodConfig(k=2, inner={"max_iter": 5}), ValueError, "inner"),
+        *[(lambda engine=engine, fit=fit: fit(MASKED, 2, engine=engine), ValueError, "engine")
+          for fit in (mean_impute_cluster, delete_cluster) for engine in ({"max_iter": 5}, None, 5)],
+        (lambda: MechanismSpec(kind="mcar", target_rate=0.3), ValueError, "kind"),
+        (lambda: MechanismSpec(kind=None, target_rate=0.3), ValueError, "kind"),
     ], ids=["mm_tol-str", "mm_tol-none", "tol-str", "lloyd-tol-none", "center_sd-str",
             "noise_variance-none", "target_rate-str", "target_rate-none", "rel_sd-str",
             "rates-str", "grid-mm_tol-str", "mechanism-int", "tol-bool", "mm_tol-bool",
             "lloyd-tol-bool", "center_sd-past-max", "noise_variance-past-max",
             "rel_sd-past-max", "grid-perturb_rel_sd-past-max", "grid-dataset-dict",
-            "grid-mechanism-str", "grid-engine-dict", "inner-dict"])
+            "grid-mechanism-str", "grid-engine-dict", "inner-dict",
+            *[f"{fit}-engine-{kind}" for fit in ("mean_impute_cluster", "delete_cluster")
+              for kind in ("dict", "none", "int")],
+            "kind-str", "kind-none"])
     def test_a_setting_of_the_wrong_type_raises_the_settings_error(self, build, error, name):
         # The error a value out of range raises, naming the setting, not a
         # TypeError, OverflowError or AttributeError. A bool is not a number,

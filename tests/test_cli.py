@@ -43,6 +43,14 @@ class TestSimulate:
         run(["simulate", "--n", 60, "--p", 8, "--k", 3, "--seed", 5, "--output", again])
         assert again.read_bytes() == data.read_bytes()
 
+    def test_spreads_that_overflow_are_named(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert run(["simulate", "--n", 5, "--p", 20, "--k", 20, "--center-sd", 1e308,
+                    "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "center_sd" in err and "noise_variance" in err, err
+        assert not out.exists()
+
 
 class TestAmpute:
     def test_mcar_rate(self, tmp_path, mixture_csv):

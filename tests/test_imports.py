@@ -192,3 +192,35 @@ def test_every_entry_point_that_takes_a_matrix_needs_two_dimensions(name):
             with pytest.raises(kpod.ShapeMismatchError, match=r"^data must be 2-D"):
                 TAKES_MATRIX[name](bad)
         TAKES_MATRIX[name](DATA)
+
+
+# Operations that take a matrix in another place, or reach the rule by another branch:
+# the exact path of a bounded assignment, one row at a time in its last block of 1024.
+TAKES_MATRIX_TOO = {
+    "project_observed": lambda data: kpod.project_observed(MASKED, data),
+    "fill_unobserved": lambda data: kpod.fill_unobserved(MASKED, data),
+    "lloyd-init": lambda data: kpod.lloyd(data, 2, init=kpod.Centroids(centers=DATA[:2])),
+    "assign_step-bounds": lambda data: kpod.assign_step(
+        np.concatenate([np.tile(DATA, (341, 1))[:2 * 1024 + 1 - len(data)], data]),
+        kpod.Centroids(centers=DATA[:2]), bounds=kpod.kmeans.RowBounds(2 * 1024 + 1)),
+    "perturb_dataset-0": lambda data: kpod.perturb_dataset(data, 0.0),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(TAKES_MATRIX) + sorted(TAKES_MATRIX_TOO))
+def test_every_operation_that_takes_a_matrix_refuses_a_cell_not_finite(name, bad):
+    # NaN, how most callers write a missing cell, is no value to cluster. One
+    # bad cell in each row in turn, so that seeding also starts from it.
+    call = {**TAKES_MATRIX, **TAKES_MATRIX_TOO}[name]
+    # A MaskedMatrix holds its values, and judges them as a typed object does.
+    error, message = ((ValueError, r"^observed entries must be finite$") if name == "MaskedMatrix"
+                      else (kpod.InfeasibleError, r"^(data|values|model|source) must be finite$"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row in range(len(DATA)):
+            data = DATA.copy()
+            data[row, row % 2] = bad
+            with pytest.raises(error, match=message):
+                call(data)
+        call(DATA)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,12 @@ class TestProjectObserved:
         x = MaskedMatrix(values=[[1.0]], observed=[[True]])
         with pytest.raises(ShapeMismatchError):
             project_observed(x, np.zeros((2, 2)))
+
+    def test_an_overflow_gives_inf_without_a_warning(self):
+        x = MaskedMatrix(values=[[1e200, 0.0], [-1e200, 1.0]], observed=np.ones((2, 2), bool))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert project_observed(x, -x.values) == np.inf
 
     @settings(deadline=None, max_examples=80)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 6),

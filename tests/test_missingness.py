@@ -117,6 +117,14 @@ class TestSimulateMixture:
             bound = 4 * sd / np.sqrt(len(rows))
             assert np.all(np.abs(rows.mean(axis=0) - means[label]) < bound)
 
+    def test_spreads_that_overflow_are_infeasible_and_named(self):
+        # Each spread is finite, but a draw at center_sd 1e308 passes the largest float.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleError,
+                               match=r"center_sd=1e\+308, noise_variance=10\.0 must be finite"):
+                simulate_mixture(MixtureSpec(n=50, p=20, k=20, center_sd=1e308, seed=0))
+
 
 class TestPerturb:
     def test_zero_rel_sd_is_identity(self):

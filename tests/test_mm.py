@@ -128,6 +128,13 @@ class TestMajorization:
             want = float(np.sum(diff * diff))
             assert majorization_value(x, a, b, a_prev, b_prev).hex() == want.hex()
 
+    def test_an_overflow_gives_inf_without_a_warning(self):
+        x = MaskedMatrix(values=[[1e200, 0.0], [-1e200, 1.0]], observed=[[True, True], [True, False]])
+        a, b = Assignment(labels=[0, 0]), Centroids(centers=[[0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert majorization_value(x, a, b, a, b) == np.inf
+
     def test_complete_input_reduces_to_plain_objective(self):
         rng = np.random.default_rng(3)
         values = rng.normal(0, 1, (6, 3))
