@@ -101,9 +101,15 @@ class EngineSettings:
     n_init: int = 1
 
     def __post_init__(self):
-        check_count("max_iter", self.max_iter)
-        check_positive("tol", self.tol)
-        check_count("n_init", self.n_init)
+        _check_settings(self.max_iter, self.tol, self.n_init)
+
+
+def _check_settings(max_iter, tol, n_init) -> None:
+    """The rule of :class:`EngineSettings`, which :func:`lloyd` judges its
+    arguments by without building one."""
+    check_count("max_iter", max_iter)
+    check_positive("tol", tol)
+    check_count("n_init", n_init)
 
 
 def is_real(value) -> bool:
@@ -196,51 +202,81 @@ def _sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("nkp,nkp->nk", diff, diff)
 
 
+def _built(cls, **field):
+    """A ``cls`` wrapper around the one array in ``field``, made read-only,
+    without the checks of its constructor: for arrays the engine has just
+    built, which those checks cannot fail."""
+    (name, array), = field.items()
+    array.flags.writeable = False
+    wrapper = object.__new__(cls)
+    object.__setattr__(wrapper, name, array)
+    return wrapper
+
+
+def _row_sq(rows: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row. A row's value does not depend on the rows around
+    it, so norms of a whole matrix, sliced, equal those of its blocks."""
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def _center_terms(centers: np.ndarray):
+    """What :func:`_gemm_argmin` needs of the centers, for every block of a
+    sweep: the centers, -2c, |c|^2 as a column, and max |c|^2 plus the
+    smallest normal number."""
+    c_sq = np.einsum("kp,kp->k", centers, centers)
+    return centers, -2.0 * centers, c_sq[:, None], c_sq.max() + _TINY
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _gemm_argmin(block: np.ndarray, centers: np.ndarray):
+def _gemm_argmin(block: np.ndarray, terms, x_sq: np.ndarray | None = None):
     """Nearest-center labels of ``block`` by GEMM, and the rows GEMM cannot decide.
 
     GEMM gives |c|^2 - 2x.c, the squared distance less |x|^2, which moves no
     argmin. With s = |x|^2 + max |c|^2, a value of it and the matching value
     of :func:`_sq_dists` together err by at most (2p + 3) eps s, so a row
     whose two smallest values lie more than 8 (p + 4) eps s apart, over twice
-    that, has the exact path's label. The rest are unsure:
-    near and exact ties, non-finite margins, and rows with 4 s past the
-    largest float, whose exact distances (at most 2 s) may overflow to ties at
-    inf that only the index breaks. Adding the smallest normal number to s
-    covers the absolute error of gradual underflow. Overflow here is expected
-    and handled, so it raises no warning.
+    that, has the exact path's label. The rest are unsure: near and exact
+    ties, and rows whose bound is not finite: rows not finite, and rows with
+    4 s past the largest float, whose exact distances (at most 2 s) may
+    overflow to ties at inf that only the index breaks. A finite bound keeps
+    every value finite, and so the margin, except at k = 1, where the margin
+    is inf and the one center decides the row. Adding the smallest normal
+    number to s covers the absolute error of gradual underflow. Overflow
+    here is expected and handled, so it raises no warning.
 
-    The values are laid out one row per center, so that every reduction over
-    the centers runs along the outer axis, elementwise over the block.
+    ``terms`` are the centers' :func:`_center_terms`, and ``x_sq``, if
+    given, the rows' |x|^2. The values are laid out one row per center, so
+    that every reduction over the centers runs along the outer axis,
+    elementwise over the block.
 
     Also returns, for :class:`RowBounds`, the two smallest GEMM values, |x|^2
     and that margin bound: ``value + |x|^2`` errs from the true squared
     distance by far less than the bound.
     """
-    c_sq = np.einsum("kp,kp->k", centers, centers)
-    dists = (-2.0 * centers) @ block.T
-    dists += c_sq[:, None]
+    centers, minus_2c, c_sq, c_top = terms
+    dists = minus_2c @ block.T
+    dists += c_sq
     best = dists.argmin(axis=0)
-    nearest = dists.min(axis=0)
+    at_best = best, np.arange(block.shape[0])
+    nearest = dists[at_best]
     # Hide each row's ``best`` value: the smallest left is at another center.
-    np.putmask(dists, best == np.arange(len(centers))[:, None], np.inf)
+    dists[at_best] = np.inf
     second = dists.min(axis=0)
     margin = second - nearest
-    x_sq = np.einsum("ij,ij->i", block, block)
-    scale = x_sq + (c_sq.max() + _TINY)
-    bound = (4 * scale) * (2 * (centers.shape[1] + 4) * _EPS)
-    unsure = (~((margin > bound) & (margin < np.inf))).nonzero()[0]
+    if x_sq is None:
+        x_sq = _row_sq(block)
+    bound = (4 * (x_sq + c_top)) * (2 * (centers.shape[1] + 4) * _EPS)
+    unsure = (~(margin > bound)).nonzero()[0]
     return best, unsure, (nearest, second, x_sq, bound)
 
 
-def _block_labels(block: np.ndarray, centers: np.ndarray):
+def _block_labels(block: np.ndarray, terms, x_sq: np.ndarray | None = None):
     """:func:`_gemm_argmin`, with its unsure rows decided by the exact path."""
-    best, unsure, gemm = _gemm_argmin(block, centers)
+    best, unsure, gemm = _gemm_argmin(block, terms, x_sq)
     if unsure.size:
         rows = block[unsure]
         check_finite("data", rows)  # a row not finite has no finite bound, so is unsure
-        best[unsure] = np.argmin(_sq_dists(rows, centers), axis=1)
+        best[unsure] = np.argmin(_sq_dists(rows, terms[0]), axis=1)
     return best, unsure, gemm
 
 
@@ -406,7 +442,8 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
     return Centroids(centers=data[chosen])
 
 
-def assign_step(data, b: Centroids, bounds: RowBounds | None = None) -> Assignment:
+def assign_step(data, b: Centroids, bounds: RowBounds | None = None, *,
+                _x_sq: np.ndarray | None = None) -> Assignment:
     """Assign each row to its nearest center (squared Euclidean distance).
 
     Ties go to the lowest cluster index. With ``bounds``, the state of a warm
@@ -414,13 +451,16 @@ def assign_step(data, b: Centroids, bounds: RowBounds | None = None) -> Assignme
     the rest are assigned and get new bounds, and ``bounds`` holds the
     result; the labels are the same as without. Data that is not finite is infeasible.
     """
+    # _x_sq: the rows' |x|^2, which a solve without bounds computes once for all its sweeps.
     data = _as_data(data, b=b)
+    terms = _center_terms(b.centers)
     if bounds is None:
-        labels = np.empty(data.shape[0], dtype=np.int64)
-        for start in range(0, data.shape[0], _BLOCK_ROWS):
-            block = data[start:start + _BLOCK_ROWS]
-            labels[start:start + _BLOCK_ROWS] = _block_labels(block, b.centers)[0]
-        return Assignment(labels=labels)
+        x_sq = _row_sq(data) if _x_sq is None else _x_sq
+        # An empty matrix is one empty block.
+        labels = [_block_labels(data[start:start + _BLOCK_ROWS], terms,
+                                x_sq[start:start + _BLOCK_ROWS])[0]
+                  for start in range(0, max(len(data), 1), _BLOCK_ROWS)]
+        return _built(Assignment, labels=labels[0] if len(labels) == 1 else np.concatenate(labels))
     if bounds.labels.shape != (data.shape[0],):
         raise ShapeMismatchError(f"bounds for {len(bounds.labels)} rows, data has {data.shape[0]}")
     # Blocks of undecided rows, never one gather of them all: that would copy
@@ -428,8 +468,9 @@ def assign_step(data, b: Centroids, bounds: RowBounds | None = None) -> Assignme
     undecided = bounds.undecided(data.shape[1])
     for start in range(0, undecided.size, _BLOCK_ROWS):
         rows = undecided[start:start + _BLOCK_ROWS]
-        bounds.record(rows, *_block_labels(data[rows], b.centers))
-    return Assignment(labels=bounds.labels)
+        bounds.record(rows, *_block_labels(data[rows], terms))
+    # A copy: the next sweep changes bounds.labels in place.
+    return _built(Assignment, labels=bounds.labels.copy())
 
 
 def update_step(data, a: Assignment, k: int) -> Centroids:
@@ -465,13 +506,10 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
             far = int(np.argmax(own_d2))
             centers[cluster] = data[far]
             own_d2[far] = -np.inf  # each repair takes a distinct row
-    try:
-        return Centroids(centers=centers)
-    except ValueError:  # the one check these centers can fail: a sum is not finite
+    if not np.isfinite(centers).all():
         check_finite("data", data)
-        raise InfeasibleError(
-            "cluster sums overflow; the data's scale is too large for k-means"
-        ) from None
+        raise InfeasibleError("cluster sums overflow; the data's scale is too large for k-means")
+    return _built(Centroids, centers=centers)
 
 
 def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, tol: float,
@@ -479,8 +517,11 @@ def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, t
     assignment = None
     obj = np.inf
     converged = False
+    # The rows do not change within a solve, so their norms are taken once;
+    # a sweep with bounds takes those of the rows it does not skip.
+    x_sq = _row_sq(data) if bounds is None else None
     for iterations in range(1, max_iter + 1):
-        labels = assign_step(data, centers, bounds=bounds)
+        labels = assign_step(data, centers, bounds=bounds, _x_sq=x_sq)
         # The data is the same within a solve, so when the labels repeat, the
         # update and the objective would repeat the current ones bit for bit.
         if assignment is not None and not (labels.labels != assignment.labels).any():
@@ -518,7 +559,7 @@ def lloyd(data, k: int, seed=None, max_iter: int = EngineSettings.max_iter,
     """
     data = _as_data(data)
     check_k(k, data.shape[0])
-    EngineSettings(max_iter, tol, n_init)  # checks them
+    _check_settings(max_iter, tol, n_init)
     if init is not None:
         if init.k != k:
             raise ShapeMismatchError(f"init has {init.k} centers, k={k}")

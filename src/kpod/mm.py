@@ -110,8 +110,7 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     )
     # Rounds differ only in the unobserved cells: refill those, in place.
     unobserved = np.flatnonzero(~x.observed)
-    per_row = x.n_cols - x.row_observed_counts()
-    _refill(filled, unobserved, per_row, result)
+    _refill(filled, unobserved, result)
     # Off the mask a fill equals the model, so the k-means objective of the
     # filled matrix is the observed-entry objective, bit for bit.
     trace = [kmeans_objective(filled, result.assignment, result.centroids)]
@@ -128,7 +127,7 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
             filled, cfg.k, init=result.centroids,
             max_iter=cfg.inner.max_iter, tol=cfg.inner.tol, bounds=bounds,
         )
-        _refill(filled, unobserved, per_row, result)
+        _refill(filled, unobserved, result)
         if bounds is not None:
             bounds.refilled(result, filled_from)
         trace.append(kmeans_objective(filled, result.assignment, result.centroids))
@@ -149,17 +148,9 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     )
 
 
-def _refill(filled: np.ndarray, unobserved: np.ndarray, per_row: np.ndarray,
-            result: KMeansResult) -> None:
+def _refill(filled: np.ndarray, unobserved: np.ndarray, result: KMeansResult) -> None:
     """Write each row's assigned center into its unobserved cells of the
-    C-ordered ``filled``, in place: the bytes of :func:`fill_unobserved`.
-
-    ``unobserved`` holds the cells' flat indices in row order and ``per_row``
-    how many each row has. Cell i p + j takes center entry labels[i] p + j,
-    at its own index shifted by (labels[i] - i) p, so only the unobserved
-    cells are gathered."""
-    shift = result.assignment.labels - np.arange(len(filled))
-    shift *= filled.shape[1]
-    source = np.repeat(shift, per_row)
-    source += unobserved
-    filled.reshape(-1)[unobserved] = result.centroids.centers.take(source)
+    C-ordered ``filled``, at their flat indices ``unobserved``, in place:
+    the bytes of :func:`fill_unobserved`."""
+    model = result.centroids.centers.take(result.assignment.labels, axis=0)
+    filled.reshape(-1)[unobserved] = model.reshape(-1)[unobserved]

@@ -23,7 +23,8 @@ from kpod import (
     rand_index,
     update_step,
 )
-from kpod.kmeans import _BLOCK_ROWS, RowBounds, _sq_dists
+from kpod import kmeans
+from kpod.kmeans import _BLOCK_ROWS, RowBounds, _center_terms, _gemm_argmin, _sq_dists
 from kpod.mm import validate_clusterable
 
 # Cases for the exact-oracle properties: a layout of rows and centers, then a
@@ -55,6 +56,25 @@ def exact_case(seed, shape, layout, scale_offset):
         pairs = centers[rng.integers(0, k, (2, n))]
         data = (pairs[0] + pairs[1]) / 2 + rng.normal(0, 1, (n, p)) * 10.0 ** rng.uniform(-15, -5)
     return data * scale + offset, centers * scale + offset
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def gemm_oracle(block, centers):
+    """_gemm_argmin as written with np.putmask and |x|^2 taken per call, the
+    reference for the bytes of its values."""
+    c_sq = np.einsum("kp,kp->k", centers, centers)
+    dists = (-2.0 * centers) @ block.T
+    dists += c_sq[:, None]
+    best = dists.argmin(axis=0)
+    nearest = dists.min(axis=0)
+    np.putmask(dists, best == np.arange(len(centers))[:, None], np.inf)
+    second = dists.min(axis=0)
+    margin = second - nearest
+    x_sq = np.einsum("ij,ij->i", block, block)
+    scale = x_sq + (c_sq.max() + np.finfo(float).tiny)
+    bound = (4 * scale) * (2 * (centers.shape[1] + 4) * np.finfo(float).eps)
+    unsure = (~((margin > bound) & (margin < np.inf))).nonzero()[0]
+    return best, unsure, nearest, second, x_sq, bound
 
 
 def update_oracle(data, labels, k):
@@ -319,6 +339,60 @@ class TestAssign:
         got = assign_step(data, Centroids(centers=centers)).labels
         assert np.array_equal(got, want)
 
+    @settings(deadline=None, max_examples=150)
+    @given(CASES, st.booleans())
+    def test_gemm_values_have_the_bytes_of_the_putmask_form(self, case, whole_matrix_norms):
+        # Block by block, as assign_step calls it, with the rows' |x|^2 taken
+        # once for the whole matrix, as a solve does, or by each call.
+        data, centers = exact_case(*case)
+        terms = _center_terms(centers)
+        x_sq = np.einsum("ij,ij->i", data, data)
+        for start in range(0, len(data), _BLOCK_ROWS):
+            block = data[start:start + _BLOCK_ROWS]
+            given_sq = x_sq[start:start + _BLOCK_ROWS] if whole_matrix_norms else None
+            best, unsure, gemm = _gemm_argmin(block, terms, given_sq)
+            got = dict(zip(("best", "unsure", "nearest", "second", "x_sq", "bound"),
+                           (best, unsure, *gemm)))
+            want = dict(zip(got, gemm_oracle(block, centers)))
+            if len(centers) == 1:
+                # The oracle calls every row unsure at k = 1; only the rows
+                # whose bound is not finite are.
+                assert np.array_equal(got.pop("unsure"), np.flatnonzero(~np.isfinite(gemm[3])))
+            # A NaN value (inf - inf in GEMM) gathered for ``nearest`` keeps
+            # its sign bit, where min returns a positive NaN. Such a row has
+            # a bound past the largest float, so it is unsure, and nothing
+            # reads that value; every other bit must match.
+            nan = np.isnan(want["nearest"])
+            assert np.array_equal(np.isnan(got["nearest"]), nan)
+            assert np.isin(np.flatnonzero(nan), unsure).all()
+            got["nearest"], want["nearest"] = got["nearest"][~nan], want["nearest"][~nan]
+            for name, value in got.items():
+                assert value.dtype == want[name].dtype, name
+                assert value.tobytes() == want[name].tobytes(), name
+
+    def test_one_center_decides_every_finite_row(self):
+        rng = np.random.default_rng(17)
+        data = rng.normal(0, 1, (50, 3))
+        b = Centroids(centers=rng.normal(0, 1, (1, 3)))
+        assert _gemm_argmin(data, _center_terms(b.centers))[1].size == 0
+        assert assign_step(data, b).labels.tolist() == [0] * 50
+        data[7, 1] = np.nan
+        with pytest.raises(InfeasibleError, match="^data must be finite$"):
+            assign_step(data, b)
+
+    def test_engine_built_wrappers_are_read_only(self):
+        rng = np.random.default_rng(19)
+        data = rng.normal(0, 1, (40, 3))
+        b, bounds = Centroids(centers=data[:3]), RowBounds(40)
+        bounded = assign_step(data, b, bounds=bounds)
+        # The next sweep changes bounds.labels; these labels must not follow.
+        assert not np.shares_memory(bounded.labels, bounds.labels)
+        result = lloyd(data, 3, seed=0)
+        for a in (assign_step(data, b), bounded, result.assignment):
+            assert a.labels.dtype == np.int64 and not a.labels.flags.writeable
+        for c in (update_step(data, bounded, 3), result.centroids):
+            assert c.centers.dtype == float and not c.centers.flags.writeable
+
     def test_allocates_less_than_one_copy_of_the_data(self):
         rng = np.random.default_rng(5)
         data = rng.normal(0, 1, (50000, 50))
@@ -554,6 +628,30 @@ class TestLloyd:
         assert result.objective == pytest.approx(
             kmeans_objective(data, result.assignment, result.centroids), rel=1e-12
         )
+
+    def test_an_unbounded_solve_takes_the_row_norms_once(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        data = rng.normal(0, 1, (300, 4))
+        init = Centroids(centers=data[:6])
+        taken = []
+        row_sq = kmeans._row_sq
+        monkeypatch.setattr(kmeans, "_row_sq", lambda rows: taken.append(len(rows)) or row_sq(rows))
+
+        def solve():
+            r = lloyd(data, 6, init=init, max_iter=5, tol=1e-12)
+            return (r.assignment.labels.tobytes(), r.centroids.centers.tobytes(),
+                    r.objective.hex(), r.iterations, r.converged)
+
+        once = solve()
+        assert taken == [300] and once[3] == 5
+        # Without the solve's norms, each sweep's assign_step takes its own,
+        # after the solve's, which go unused.
+        assign = kmeans.assign_step
+        monkeypatch.setattr(kmeans, "assign_step", lambda data, b, bounds=None, _x_sq=None:
+                            assign(data, b, bounds))
+        taken.clear()
+        assert solve() == once
+        assert taken == [300] * (1 + 5)
 
     def test_infeasible_k(self):
         with pytest.raises(InfeasibleError, match="^need k <= n rows, got k=4, n=3$"):
