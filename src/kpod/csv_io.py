@@ -11,13 +11,18 @@ token are both missing, blank lines at the end of the file are ignored, and
 every row must be as wide as the header. A label file is read by the same
 rules, its one column the label column, with only an empty cell missing.
 
-Data files are written a block of rows at a time. Data and label files are
-read in one pass of ``csv.reader`` a block of records at a time, whatever their
-quoting or line ends. The bytes, values and errors are those of the
-one-cell-at-a-time rules: only a block that holds a bad cell is walked cell by
-cell, to locate it. A fault names the file line its record starts on, except
-that a line the csv module cannot read, or a byte that is not UTF-8, is named
-by the line where the reader met it.
+Data files are written a block of rows at a time. A data file read without a
+label column, whose missing token is not empty and holds no comma, quote or
+whitespace (what ``kpod ampute`` and ``kpod cluster`` read), goes to numpy's C
+parser a block of lines at a time, the token's cells rewritten to ``nan``. A
+file with a quote or NUL byte, or any block that parser might read otherwise
+than these rules do, is read again from the start as every label file and
+labelled data file is: in one pass of ``csv.reader`` a block of records at a
+time, whatever their quoting or line ends. The bytes, values and errors are
+those of the one-cell-at-a-time rules either way: only a block that holds a
+bad cell is walked cell by cell, to locate it. A fault names the file line its
+record starts on, except that a line the csv module cannot read, or a byte
+that is not UTF-8, is named by the line where the reader met it.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ __all__ = [
 
 DEFAULT_MISSING_TOKEN = "NA"
 
-# Rows per block of a data file. A block's cells are Python strings at once,
+# Rows per block of a data file. A block's lines or cells are Python strings at once,
 # so this bounds the memory a read or write holds beyond the matrix itself.
 _BLOCK_ROWS = 256
 
@@ -144,6 +149,47 @@ def _bad_cell(path: Path, records: Iterable[tuple[int, list[str]]], missing_toke
     return None
 
 
+def _read_plain(path: Path, missing_token: str) -> np.ndarray | None:
+    """The values of a label-less data file, NaN where missing, as numpy's C
+    parser reads them ``_BLOCK_ROWS`` lines at a time, the token's cells
+    rewritten to ``nan``; ``None`` if the token or some block is not one it
+    surely reads by the one-cell-at-a-time rules.
+
+    A block is kept only if it holds no ``"`` or NUL and no line longer than
+    the csv field limit, gives one row per non-blank line, each as wide as the
+    header, as many NaNs as token cells, none of them negative or after a
+    ``+``, and finite values elsewhere. Blank lines may only end the file.
+    """
+    if not missing_token or any(c in ',"' or c.isspace() for c in missing_token):
+        return None
+    limit, blocks, trailing = csv.field_size_limit(), [], False
+    try:
+        with path.open(encoding="utf-8-sig") as handle:  # universal newlines
+            header = handle.readline()
+            if header == "\n" or '"' in header or len(header) > limit:
+                return None
+            width = header.count(",") + 1
+            while lines := list(islice(handle, _BLOCK_ROWS)):
+                text, rows = "".join(lines), len(lines) - lines.count("\n")
+                if ('"' in text or "\0" in text or max(map(len, lines)) > limit
+                        or "\n" in lines[:rows] or (trailing and rows)):
+                    return None
+                trailing = rows < len(lines)
+                if rows:
+                    values = np.loadtxt(io.StringIO(text.replace(missing_token, "nan")),
+                                        delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+                    nan = np.isnan(values)
+                    if (values.shape != (rows, width)
+                            or np.count_nonzero(nan) != text.count(missing_token)
+                            or "+" + missing_token in text or np.signbit(values[nan]).any()
+                            or np.isinf(values).any()):
+                        return None
+                    blocks.append(values)
+    except ValueError:  # numpy refused a line, or a byte is not UTF-8
+        return None
+    return np.concatenate(blocks) if blocks else None
+
+
 def _read_table(path: Path, missing_token: str, label_column: str | None = None,
                 width: int | None = None, label_idx: int | None = None,
                 ) -> tuple[np.ndarray, Assignment | None]:
@@ -153,13 +199,18 @@ def _read_table(path: Path, missing_token: str, label_column: str | None = None,
     record, the header included, must have ``width`` fields (default: as many
     as the header).
 
-    One pass of :func:`_records` takes the file ``_BLOCK_ROWS`` records at a
-    time, and one ``np.fromiter`` takes ``float`` of every cell of a block,
-    the token and empty cells as ``"nan"``. A line the csv module cannot read
-    raises at once. Any other fault is raised after the last line, in this
-    order: no data rows, the first record not ``width`` wide, a bad
-    ``label_column``, the first bad cell.
+    A read with no label column takes :func:`_read_plain`'s values if it
+    gives them. Otherwise one pass of :func:`_records` takes the file
+    ``_BLOCK_ROWS`` records at a time, and one ``np.fromiter`` takes ``float``
+    of every cell of a block, the token and empty cells as ``"nan"``. A line
+    the csv module cannot read raises at once. Any other fault is raised
+    after the last line, in this order: no data rows, the first record not
+    ``width`` wide, a bad ``label_column``, the first bad cell.
     """
+    if label_column is None and label_idx is None:
+        values = _read_plain(path, missing_token)
+        if values is not None:
+            return values, None
     records = _records(path)
     line, header = next(records, (1, None))
     if header is None:
@@ -257,5 +308,7 @@ def read_labels_csv(path) -> Assignment:
 
 
 def write_labels_csv(labels: Assignment, path) -> None:
-    """Write labels as a one-column CSV headed ``label``."""
-    write_csv(path, ["label"], ([label] for label in labels.labels.tolist()))
+    """Write labels as a one-column CSV headed ``label``: the bytes
+    :func:`write_csv` writes, as labels are integers ``csv.writer`` never quotes."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        handle.write("".join(map("{}\n".format, ["label", *labels.labels.tolist()])))

@@ -1,9 +1,11 @@
 import csv
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +205,12 @@ class TestLabelsCsv:
         path = tmp_path_factory.mktemp("labels") / "labels.csv"
         _write_text(path, text)
         assert _label_outcome(read_labels_csv, path) == _label_outcome(_read_labels_by_rows, path)
+
+    def test_bytes_equal_the_csv_writer(self, tmp_path):
+        labels = Assignment(labels=np.array([3, 0, 12, 1, 1]))
+        write_labels_csv(labels, tmp_path / "direct.csv")
+        csv_io.write_csv(tmp_path / "writer.csv", ["label"], ([v] for v in labels.labels.tolist()))
+        assert (tmp_path / "direct.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
     def test_needs_rows(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -489,6 +497,20 @@ class TestBlockRead:
     @example(("a\n1\r2\n", ("NA", None)))  # a lone \r ends a line
     @example(('a,b\n"1\n",2\n3,oops\n', ("NA", None)))  # a fault after a record of two lines
     @example(('class,x\n"a\r\nb",1\n,2\n', ("NA", "class")))
+    # Files numpy's parser must refuse, or read as the cell loop does.
+    @example(("a,b\n1,+NA\n", ("NA", None)))
+    @example(("a,b\n1,-NA\n", ("NA", None)))
+    @example(("a,b\nNA,nan\n", ("NA", None)))
+    @example(("a,b\nNaN,1\n", ("NA", None)))
+    @example(("a,b\n1e400,NA\n", ("NA", None)))
+    @example(("a,b\n1,2#3\n", ("NA", None)))
+    @example(("a,b\n1_0,NA\n", ("NA", None)))  # float() reads 10
+    @example(("a,b\n\xa01.5,NA\n", ("NA", None)))
+    @example(("a\n1\n \n2\n", ("NA", None)))  # a whitespace-only line is a missing cell
+    @example(("a,b\n1,2\n\n3,NA\n", ("NA", None)))
+    @example(("a,b\n" + "1,NA\n" * 256 + "\n" * 300, ("NA", None)))  # an all-blank last block
+    @example(("\r\n1\r\n2\r\n", ("NA", None)))
+    @example(("a,b\n1," + "0" * (csv.field_size_limit() + 1) + "\n", ("NA", None)))
     def test_equals_the_cell_loop(self, tmp_path_factory, case):
         text, args = case
         path = tmp_path_factory.mktemp("read") / "data.csv"
@@ -531,13 +553,15 @@ class TestBlockRead:
         assert (err.value.line, err.value.column) == (line, column)
         assert _outcome(read_masked_csv, path, *args) == _outcome(_read_by_cells, path, *args)
 
-    @pytest.mark.parametrize("text", [
-        "a,b\n" + "1.5,NA\n" * 600 + '"7",3\n',
-        "a,b\n" + "1.5,NA\n" * 600 + "2,3\r",
-        '"a","b"\n' + "1.5,NA\n" * 600,
-        "a,b\r\n" + "1.5,NA\r\n" * 600,
-    ], ids=["late-quote", "lone-cr", "quoted-header", "crlf"])
-    def test_each_cell_is_parsed_once(self, tmp_path, monkeypatch, text):
+    @pytest.mark.parametrize("text, by_float", [
+        ("a,b\n" + "1.5,NA\n" * 600, False),
+        ("a,b\n" + "1.5,NA\n" * 600 + "2,3\r", False),
+        ("a,b\r\n" + "1.5,NA\r\n" * 600, False),
+        ("a,b\n" + "1.5,NA\n" * 600 + '"7",3\n', True),
+        ('"a","b"\n' + "1.5,NA\n" * 600, True),
+    ], ids=["lf", "lone-cr", "crlf", "late-quote", "quoted-header"])
+    def test_each_cell_is_parsed_once(self, tmp_path, monkeypatch, text, by_float):
+        # numpy's parser takes a file with no quote, float() each cell of one with a quote.
         path = tmp_path / "data.csv"
         _write_text(path, text)
         args = ("NA", None)
@@ -550,9 +574,26 @@ class TestBlockRead:
 
         monkeypatch.setattr(csv_io, "float", counted, raising=False)
         x, _ = read_masked_csv(path, *args)
-        assert len(calls) == x.values.size
+        assert len(calls) == (x.values.size if by_float else 0)
         monkeypatch.undo()
         assert _outcome(read_masked_csv, path, *args) == want
+
+    def test_a_plain_read_holds_one_block_beyond_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(6)
+        x = MaskedMatrix(values=rng.normal(0, 1, (5000, 50)), observed=rng.random((5000, 50)) > 0.1)
+        path = tmp_path / "data.csv"
+        write_masked_csv(x, path)
+        tracemalloc.start()
+        try:
+            back, _ = read_masked_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == x.values.tobytes()
+        # The values are held twice at once, as read and as MaskedMatrix's
+        # masked copy, each with its mask; a block of lines is well under 1 MiB.
+        matrix = x.values.nbytes + x.observed.nbytes
+        assert peak < 2 * matrix + 2**20, (peak, matrix, path.stat().st_size)
 
     @pytest.mark.parametrize("token", ["NA", "?", "-999", ""])
     def test_package_files_are_read_in_blocks(self, tmp_path, token):
@@ -592,6 +633,28 @@ class TestBlockRead:
                      ["cluster", "--input", masked, "--output", fit, "--k", 3,
                       "--missing-token", "?"]):
             assert cli([str(a) for a in argv]) == 0, capsys.readouterr().err
+
+
+# Decimal texts whose rounding is easy to get wrong, with the whitespace and
+# signs a cell may hold.
+TRICKY_DECIMALS = ["4.9406564584124654e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+                   "2.2250738585072012e-308", "1.00000000000000011102230246251565404236316680908203125",
+                   "1.00000000000000011102230246251565404236316680908203126", "9" * 30,
+                   "123456789012345678901234567890", "-" + "1" * 30, "+1.5", " 3.25 ", ".5", "5.",
+                   "1.7976931348623157e308", "-0.0", "0.1", "1e-400", "9007199254740993"]
+
+
+class TestNumpyParser:
+    # Plain data files are read by np.loadtxt: it must give float()'s bits.
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.one_of(st.sampled_from(TRICKY_DECIMALS), FLOATS.map(repr),
+                              st.from_regex(r"\A[-+]?[0-9]{1,25}(\.[0-9]{0,25})?(e[-+]?[0-9]{1,3})?\Z")),
+                    min_size=1, max_size=20))
+    @example(TRICKY_DECIMALS)
+    def test_loadtxt_gives_the_bits_of_float(self, cells):
+        got = np.loadtxt(io.StringIO("\n".join(cells)), delimiter=",", comments=None,
+                         dtype=np.float64, ndmin=2)
+        assert got.ravel().tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
 def _write_by_cells(x, path, missing_token):
