@@ -195,9 +195,10 @@ class ScenarioGrid:
             return cls.from_dict(json.load(handle))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
-    """One clustering run of the grid; failures become rows too."""
+    """One clustering run of the grid; failures become rows too. A campaign
+    holds one per run, so they have slots, not a ``__dict__`` each."""
 
     mechanism: str
     target_rate: float

@@ -63,8 +63,7 @@ def _cmd_simulate(args) -> int:
     spec = MixtureSpec(n=args.n, p=args.p, k=args.k, center_sd=args.center_sd,
                        noise_variance=args.noise_variance, seed=args.seed)
     values, labels = simulate_mixture(spec)
-    write_masked_csv(MaskedMatrix(values=values, observed=np.ones(values.shape, dtype=bool)),
-                     args.output)
+    write_masked_csv(MaskedMatrix._adopt(values, np.ones(values.shape, dtype=bool)), args.output)
     if args.labels:
         write_labels_csv(labels, args.labels)
     print(f"wrote {args.n}x{args.p} mixture with k={args.k} to {args.output}")

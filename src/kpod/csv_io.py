@@ -149,6 +149,25 @@ def _bad_cell(path: Path, records: Iterable[tuple[int, list[str]]], missing_toke
     return None
 
 
+def _plain_block(text: str, rows: int, width: int, missing_token: str) -> np.ndarray | None:
+    """The values of a block ``text`` of ``rows`` lines for :func:`_read_plain`,
+    or ``None`` if the block fails its checks on them; a ValueError if numpy
+    refuses a line. The rewritten text lives only while numpy parses it."""
+    replaced = text.replace(missing_token, "nan")
+    # Each rewrite changes the length by the same amount, unless the token is
+    # 3 characters long, as "nan" is.
+    tokens = (text.count(missing_token) if len(missing_token) == 3
+              else (len(replaced) - len(text)) // (3 - len(missing_token)))
+    values = np.loadtxt(io.StringIO(replaced), delimiter=",", comments=None, dtype=np.float64,
+                        ndmin=2)
+    nan = np.isnan(values)
+    if (values.shape != (rows, width) or np.count_nonzero(nan) != tokens
+            or "+" + missing_token in text or np.signbit(values[nan]).any()
+            or np.isinf(values).any()):
+        return None
+    return values
+
+
 def _read_plain(path: Path, missing_token: str) -> np.ndarray | None:
     """The values of a label-less data file, NaN where missing, as numpy's C
     parser reads them ``_BLOCK_ROWS`` lines at a time, the token's cells
@@ -176,13 +195,8 @@ def _read_plain(path: Path, missing_token: str) -> np.ndarray | None:
                     return None
                 trailing = rows < len(lines)
                 if rows:
-                    values = np.loadtxt(io.StringIO(text.replace(missing_token, "nan")),
-                                        delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-                    nan = np.isnan(values)
-                    if (values.shape != (rows, width)
-                            or np.count_nonzero(nan) != text.count(missing_token)
-                            or "+" + missing_token in text or np.signbit(values[nan]).any()
-                            or np.isinf(values).any()):
+                    values = _plain_block(text, rows, width, missing_token)
+                    if values is None:
                         return None
                     blocks.append(values)
     except ValueError:  # numpy refused a line, or a byte is not UTF-8
@@ -271,7 +285,11 @@ def read_masked_csv(path, missing_token: str = DEFAULT_MISSING_TOKEN,
     and, for a bad cell, its column, in the order :func:`_read_table` gives.
     """
     values, labels = _read_table(Path(path), missing_token, label_column)
-    return MaskedMatrix(values=values, observed=~np.isnan(values)), labels
+    # The values are the reader's own: zero their missing cells in place and
+    # wrap them, and the mask, with no copy.
+    observed = np.isnan(values)
+    values[observed] = 0.0
+    return MaskedMatrix._adopt(values, np.logical_not(observed, out=observed)), labels
 
 
 def write_masked_csv(x: MaskedMatrix, path, missing_token: str = DEFAULT_MISSING_TOKEN) -> None:

@@ -202,14 +202,14 @@ def _sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("nkp,nkp->nk", diff, diff)
 
 
-def _built(cls, **field):
-    """A ``cls`` wrapper around the one array in ``field``, made read-only,
-    without the checks of its constructor: for arrays the engine has just
-    built, which those checks cannot fail."""
-    (name, array), = field.items()
-    array.flags.writeable = False
+def _built(cls, **fields):
+    """A ``cls`` wrapper around the arrays in ``fields``, made read-only,
+    without the checks or copies of its constructor: for arrays the package
+    has just built, which those checks cannot fail."""
     wrapper = object.__new__(cls)
-    object.__setattr__(wrapper, name, array)
+    for name, array in fields.items():
+        array.flags.writeable = False
+        object.__setattr__(wrapper, name, array)
     return wrapper
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, InfeasibleError, ShapeMismatchError
-from .kmeans import _as_data, check_finite
+from .kmeans import _as_data, _built, check_finite
 
 __all__ = [
     "MaskedMatrix",
@@ -25,18 +25,15 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class MaskedMatrix:
     """An ``(n, p)`` real matrix plus an observed-entry mask.
 
     Instances are immutable (the backing arrays are marked read-only) and all
     operations on them are pure functions, so they are safe to share across
-    workers.
+    workers. The constructor copies the arrays a caller passes in, so writing
+    to them later changes nothing here; arrays the package has just built
+    itself are adopted as they are, through :meth:`_adopt`.
     """
 
     values: np.ndarray
@@ -50,12 +47,22 @@ class MaskedMatrix:
                 f"mask shape {observed.shape} does not match values shape {values.shape}"
             )
         # The mask is authoritative; unobserved cells hold a fixed 0.0 sentinel,
-        # so a check of every cell afterwards checks the observed ones.
-        values = np.where(observed, values, 0.0)
+        # so a check of every cell afterwards checks the observed ones. The
+        # copies are this matrix's own, so it adopts them.
+        adopted = self._adopt(np.where(observed, values, 0.0), observed.copy())
+        object.__setattr__(self, "values", adopted.values)
+        object.__setattr__(self, "observed", adopted.observed)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, observed: np.ndarray) -> MaskedMatrix:
+        """A matrix that holds ``values`` and ``observed`` themselves, made
+        read-only, with no copy: for a float array and a boolean mask of one
+        2-D shape that the package has just built, with 0.0 in every
+        unobserved cell. Of the constructor's checks only finiteness is left,
+        as a check of every cell."""
         if not np.isfinite(values).all():
             raise ValueError("observed entries must be finite")
-        object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "observed", _readonly(observed.copy()))
+        return _built(cls, values=values, observed=observed)
 
     @property
     def n_rows(self) -> int:
@@ -192,6 +199,9 @@ def standardize(x: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
     """
     stats = column_stats(x)
     scale = np.where(stats.std_devs > 0, stats.std_devs, 1.0)
-    scaled = np.subtract(x.values, stats.means)
+    # In C order, as the mask is: the layout of every matrix the package builds.
+    scaled = np.subtract(x.values, stats.means, order="C")
     np.divide(scaled, scale, out=scaled)
-    return MaskedMatrix(values=scaled, observed=x.observed), stats
+    np.copyto(scaled, 0.0, where=~x.observed)
+    # The mask is read-only, so the result may share it.
+    return MaskedMatrix._adopt(scaled, x.observed), stats

@@ -231,4 +231,6 @@ def ampute(values, spec: MechanismSpec) -> MaskedMatrix:
         missing = _mask_mar((n, p), total, columns, rng)
 
     missing = _keep_rows_and_columns_observed(missing, rng)
-    return MaskedMatrix(values=values, observed=~missing)
+    observed = np.logical_not(missing, out=missing)
+    # One copy of the input, zeroed off the mask; it and the mask are adopted as built.
+    return MaskedMatrix._adopt(np.where(observed, values, 0.0), observed)

@@ -102,14 +102,16 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     """
     validate_clusterable(x, cfg.k)
 
-    # C order, so that _refill can write through a flat view.
+    # C order, so that _refill can write each block of rows through a flat view.
     filled = np.ascontiguousarray(init_fill(x))
     result = lloyd(
         filled, cfg.k, seed=cfg.seed,
         max_iter=cfg.inner.max_iter, tol=cfg.inner.tol, n_init=cfg.inner.n_init,
     )
-    # Rounds differ only in the unobserved cells: refill those, in place.
-    unobserved = np.flatnonzero(~x.observed)
+    # Rounds differ only in the unobserved cells: refill those, in place, from
+    # each block's flat indices of them.
+    unobserved = [np.flatnonzero(~x.observed[start:start + _BLOCK_ROWS])
+                  for start in range(0, x.n_rows, _BLOCK_ROWS)]
     _refill(filled, unobserved, result)
     # Off the mask a fill equals the model, so the k-means objective of the
     # filled matrix is the observed-entry objective, bit for bit.
@@ -148,9 +150,15 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     )
 
 
-def _refill(filled: np.ndarray, unobserved: np.ndarray, result: KMeansResult) -> None:
+def _refill(filled: np.ndarray, unobserved: list[np.ndarray], result: KMeansResult) -> None:
     """Write each row's assigned center into its unobserved cells of the
-    C-ordered ``filled``, at their flat indices ``unobserved``, in place:
-    the bytes of :func:`fill_unobserved`."""
-    model = result.centroids.centers.take(result.assignment.labels, axis=0)
-    filled.reshape(-1)[unobserved] = model.reshape(-1)[unobserved]
+    C-ordered ``filled``, in place: the bytes of :func:`fill_unobserved`.
+
+    Block ``b`` is the ``_BLOCK_ROWS`` rows from ``b * _BLOCK_ROWS``, and
+    ``unobserved[b]`` the flat indices of its unobserved cells within it.
+    Each block gathers the centers of its own rows only, so the refill holds
+    no n x p model beyond one block's."""
+    centers, labels = result.centroids.centers, result.assignment.labels
+    for start, cells in zip(range(0, len(filled), _BLOCK_ROWS), unobserved):
+        model = centers.take(labels[start:start + _BLOCK_ROWS], axis=0)
+        filled[start:start + _BLOCK_ROWS].reshape(-1)[cells] = model.take(cells)

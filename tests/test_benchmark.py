@@ -1,6 +1,8 @@
 import json
+import pickle
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -589,9 +591,17 @@ class TestReportWriting:
             header, line = written.read_text().splitlines()
             assert dict(zip(header.split(","), line.split(",")))["target_rate"] == "0.2"
 
-    def test_headers_are_the_row_fields_in_order(self, tmp_path):
+    # Rows cross to pool workers by pickle, and dataclasses.replace copies them.
+    @pytest.mark.parametrize("rebuild", [
+        lambda row: row,
+        lambda row: pickle.loads(pickle.dumps(row)),
+        lambda row: replace(row, trial=3),
+    ], ids=["built", "pickled", "replaced"])
+    def test_headers_are_the_row_fields_in_order(self, tmp_path, rebuild):
+        row = rebuild(self.make_row())
+        assert row == self.make_row(trial=row.trial)
         path = tmp_path / "report.csv"
-        write_report([self.make_row()], path)
+        write_report([row], path)
         assert path.read_text().splitlines()[0].split(",") == [
             "mechanism", "target_rate", "achieved_rate", "method", "trial",
             "rand", "adjusted_rand", "seconds", "mm_iterations", "status",
@@ -601,6 +611,9 @@ class TestReportWriting:
             "rand_mean", "rand_se", "adjusted_rand_mean", "adjusted_rand_se",
             "seconds_mean", "seconds_se",
         ]
+        direct = tmp_path / "direct.csv"
+        write_report([self.make_row(trial=row.trial)], direct)
+        assert path.read_bytes() == direct.read_bytes()
 
     def test_none_cells_written_empty(self, tmp_path):
         path = tmp_path / "report.csv"

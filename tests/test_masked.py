@@ -1,4 +1,7 @@
+import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +11,17 @@ from kpod import (
     DegenerateColumnError,
     InfeasibleError,
     MaskedMatrix,
+    Mechanism,
+    MechanismSpec,
     ShapeMismatchError,
+    ampute,
     column_stats,
     fill_unobserved,
     init_fill,
     project_observed,
+    read_masked_csv,
     standardize,
+    write_masked_csv,
 )
 
 
@@ -368,6 +376,29 @@ class TestSameBytesAsFormulas:
         got = outcome(lambda: (standardize(x)[0].values,))
         assert got == outcome(lambda: (standardized_by_formula(x.values, x.observed),))
 
+    @settings(deadline=None, max_examples=100)
+    @given(matrix_and_mask(finite_float), st.sampled_from(list(Mechanism)))
+    def test_ampute_and_read_masked_csv(self, case, kind):
+        # Both build their arrays themselves and wrap them without a copy;
+        # bytes and layout stay those of the public constructor's copies.
+        values, observed = case
+        spec = MechanismSpec(kind=kind, target_rate=0.3, seed=1,
+                             mar_columns=tuple(range(values.shape[1])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # NMAR on a constant column
+            amputed = ampute(values, spec)
+        got = outcome(lambda: (amputed.values, amputed.observed))
+        assert got == outcome(lambda: (masked_by_formula(values, amputed.observed),
+                                       amputed.observed.copy()))
+        x = MaskedMatrix(values=values, observed=observed)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "data.csv"
+            write_masked_csv(x, path)
+            back, _ = read_masked_csv(path)
+        got = outcome(lambda: (back.values, back.observed))
+        assert got == outcome(lambda: (masked_by_formula(x.values, x.observed),
+                                       x.observed.copy()))
+
     def test_nonfinite_cells_behind_the_mask_are_accepted(self):
         for bad in (np.nan, np.inf, -np.inf):
             x = MaskedMatrix(values=[[bad, -0.0]], observed=[[False, True]])
@@ -381,3 +412,38 @@ class TestSameBytesAsFormulas:
         got = outcome(lambda: (standardize(x)[0].values,))
         assert got == outcome(lambda: (standardized_by_formula(x.values, x.observed),))
         assert got[0] is InfeasibleError and got[1].startswith("column 1:")
+
+
+class TestPackageBuiltMatrices:
+    def test_are_read_only_and_keep_no_caller_array(self, tmp_path):
+        rng = np.random.default_rng(2)
+        values = rng.normal(0, 1, (30, 4))
+        observed = rng.random((30, 4)) > 0.3
+        observed[0] = True
+        x = MaskedMatrix(values=values, observed=observed)
+        path = tmp_path / "data.csv"
+        write_masked_csv(x, path)
+        built = [x, ampute(values, MechanismSpec(kind=Mechanism.MCAR, target_rate=0.3, seed=1)),
+                 standardize(x)[0], read_masked_csv(path)[0]]
+        before = [(m.values.tobytes(), m.observed.tobytes()) for m in built]
+        for m in built:
+            assert not m.values.flags.writeable and not m.observed.flags.writeable
+        values[:] = 7.0
+        observed[:] = ~observed
+        assert [(m.values.tobytes(), m.observed.tobytes()) for m in built] == before
+        # standardize adopts its input's read-only mask rather than copying it.
+        assert built[2].observed is x.observed
+
+    def test_standardize_allocates_one_copy_and_a_mask(self):
+        rng = np.random.default_rng(5)
+        x = MaskedMatrix(values=rng.normal(0, 3, (20000, 50)),
+                         observed=rng.random((20000, 50)) >= 0.5)
+        tracemalloc.start()
+        try:
+            standardize(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The scaled values, one mask-sized temporary at a time (the inverted
+        # mask that zeroes them, then the finiteness check) and the statistics.
+        assert peak <= x.values.nbytes + x.observed.nbytes + 2**16
