@@ -378,34 +378,54 @@ def kmeans_objective(data, a: Assignment, b: Centroids) -> float:
     inf if it overflows, InfeasibleError for data that is not finite."""
     data = _as_data(data, a, b)
     try:
-        diff = b.centers.take(a.labels, axis=0)
+        model = b.centers.take(a.labels, axis=0)
     except IndexError:  # labels are nonnegative, so the largest is out of range
         raise IndexError(f"label {int(a.labels.max())} out of range for k={b.k}") from None
-    np.subtract(data, diff, out=diff)
-    np.multiply(diff, diff, out=diff)
-    total = float(diff.sum())
+    return _objective(data, model)
+
+
+def _objective(data: np.ndarray, model: np.ndarray) -> float:
+    """:func:`kmeans_objective` against ``model``, the C-ordered gather of
+    each row's center, which it overwrites with the squared differences."""
+    np.subtract(data, model, out=model)
+    np.multiply(model, model, out=model)
+    total = float(model.sum())
     if not math.isfinite(total):  # an overflow, or data that is not finite
         check_finite("data", data)
     return total
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def kmeanspp_init(data, k: int, seed=None) -> Centroids:
+def kmeanspp_init(data, k: int, seed=None, *, _x_sq: np.ndarray | None = None) -> Centroids:
     """Choose k starting centers by distance-squared proportional sampling.
 
     The first center is a uniformly chosen data row; each subsequent center is
     a data row sampled with probability proportional to its squared distance
     to the nearest center chosen so far. Deterministic given ``seed``.
 
+    On C-ordered data past one block, a pass after the first skips each row
+    whose lower bound on its distance to the newest center c, the GEMV value
+    |x|^2 - 2x.c + |c|^2 less 8 (p + 4) eps (|x|^2 + |c|^2 + tiny), is at
+    least its nearest distance so far. That margin, :func:`_gemm_argmin`'s,
+    covers the rounding of the GEMV and of :func:`_sq_dists`, so the exact
+    distance is no smaller and the minimum would keep the nearest distance
+    bit for bit. A bound that is not a number skips nothing.
+
     If the data holds fewer than k distinct rows the leftover centers are
     duplicates, flagged with :class:`DuplicateCentersWarning`. Data that is
     not finite, and squared distances whose sum overflows, also to the one
     center of k = 1, raise :class:`InfeasibleError`, with no numpy warning.
     """
+    # _x_sq: the rows' |x|^2, which lloyd computes once for all its seedings and solves.
     data = _as_data(data)
     n = data.shape[0]
     check_k(k, n)
     rng = _generator(seed)
+    # Within one block a pass is one block of exact distances either way. A
+    # gather of rows is C-ordered, and other layouts round differently.
+    bounded = n > _BLOCK_ROWS and data.flags.c_contiguous
+    x_sq = (_row_sq(data) if _x_sq is None else _x_sq) if bounded else None
+    slack = 8 * (data.shape[1] + 4) * _EPS
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
@@ -416,9 +436,16 @@ def kmeanspp_init(data, k: int, seed=None) -> Centroids:
         # Each row's distance to the newest center, a block of rows at a time
         # so the differences stay small, kept where it is the nearest yet.
         center = data[chosen[i - 1:i]]
-        for start in range(0, n, _BLOCK_ROWS):
-            near = d2[start:start + _BLOCK_ROWS]
-            np.minimum(near, _sq_dists(data[start:start + _BLOCK_ROWS], center)[:, 0], out=near)
+        blocks = [slice(at, at + _BLOCK_ROWS) for at in range(0, n, _BLOCK_ROWS)]
+        if x_sq is not None and i > 1:  # the first pass, from inf, skips nothing
+            c = center[0]
+            c_sq = c @ c
+            lower = data @ (-2 * c) + c_sq + x_sq - slack * (x_sq + c_sq + _TINY)
+            rows = (~(lower >= d2)).nonzero()[0]
+            if 2 * rows.size <= n:  # past half the rows, a gather costs more than a plain pass
+                blocks = [rows[at:at + _BLOCK_ROWS] for at in range(0, rows.size, _BLOCK_ROWS)]
+        for block in blocks:
+            d2[block] = np.minimum(d2[block], _sq_dists(data[block], center)[:, 0])
         total = d2.sum()
         if not np.isfinite(total):
             check_finite("data", data)
@@ -513,13 +540,11 @@ def update_step(data, a: Assignment, k: int) -> Centroids:
 
 
 def _lloyd_single(data: np.ndarray, k: int, centers: Centroids, max_iter: int, tol: float,
-                  bounds: RowBounds | None = None) -> KMeansResult:
+                  bounds: RowBounds | None = None, x_sq: np.ndarray | None = None) -> KMeansResult:
+    # x_sq: the rows' |x|^2; a sweep with bounds takes those of the rows it does not skip.
     assignment = None
     obj = np.inf
     converged = False
-    # The rows do not change within a solve, so their norms are taken once;
-    # a sweep with bounds takes those of the rows it does not skip.
-    x_sq = _row_sq(data) if bounds is None else None
     for iterations in range(1, max_iter + 1):
         labels = assign_step(data, centers, bounds=bounds, _x_sq=x_sq)
         # The data is the same within a solve, so when the labels repeat, the
@@ -563,14 +588,18 @@ def lloyd(data, k: int, seed=None, max_iter: int = EngineSettings.max_iter,
     if init is not None:
         if init.k != k:
             raise ShapeMismatchError(f"init has {init.k} centers, k={k}")
-        return _lloyd_single(data, k, init, max_iter, tol, bounds)
-    if bounds is not None:
+    elif bounds is not None:
         raise ValueError("bounds apply only to a warm start from init")
+    # The rows do not change within a call: their norms serve every seeding and solve.
+    x_sq = _row_sq(data) if bounds is None else None
+    if init is not None:
+        return _lloyd_single(data, k, init, max_iter, tol, bounds, x_sq)
 
     rng = _generator(seed)
     best: KMeansResult | None = None
     for _ in range(n_init):
-        result = _lloyd_single(data, k, kmeanspp_init(data, k, seed=rng), max_iter, tol)
+        centers = kmeanspp_init(data, k, seed=rng, _x_sq=x_sq)
+        result = _lloyd_single(data, k, centers, max_iter, tol, x_sq=x_sq)
         if best is None or result.objective < best.objective:
             best = result
     return best

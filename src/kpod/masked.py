@@ -2,8 +2,8 @@
 
 A :class:`MaskedMatrix` pairs an ``(n, p)`` float array with a boolean mask of
 the same shape (``True`` = observed). The mask is authoritative: every entry at
-an unobserved position is stored as ``0.0``, so downstream arithmetic stays
-finite no matter what a caller passed in.
+an unobserved position is stored as ``+0.0``, whose bits are all zero, so
+downstream arithmetic stays finite no matter what a caller passed in.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class MaskedMatrix:
     operations on them are pure functions, so they are safe to share across
     workers. The constructor copies the arrays a caller passes in, so writing
     to them later changes nothing here; arrays the package has just built
-    itself are adopted as they are, through :meth:`_adopt`.
+    itself are adopted as they are, through :meth:`_adopt`. Every unobserved
+    cell holds +0.0 (all-zero bits), a contract the fills rely on.
     """
 
     values: np.ndarray
@@ -46,10 +47,10 @@ class MaskedMatrix:
             raise ShapeMismatchError(
                 f"mask shape {observed.shape} does not match values shape {values.shape}"
             )
-        # The mask is authoritative; unobserved cells hold a fixed 0.0 sentinel,
+        # The mask is authoritative; unobserved cells hold a fixed +0.0 sentinel,
         # so a check of every cell afterwards checks the observed ones. The
         # copies are this matrix's own, so it adopts them.
-        adopted = self._adopt(np.where(observed, values, 0.0), observed.copy())
+        adopted = self._adopt(_keep(values, observed), observed.copy())
         object.__setattr__(self, "values", adopted.values)
         object.__setattr__(self, "observed", adopted.observed)
 
@@ -57,9 +58,10 @@ class MaskedMatrix:
     def _adopt(cls, values: np.ndarray, observed: np.ndarray) -> MaskedMatrix:
         """A matrix that holds ``values`` and ``observed`` themselves, made
         read-only, with no copy: for a float array and a boolean mask of one
-        2-D shape that the package has just built, with 0.0 in every
-        unobserved cell. Of the constructor's checks only finiteness is left,
-        as a check of every cell."""
+        2-D shape that the package has just built, with +0.0 (all-zero bits)
+        in every unobserved cell, which the fills rely on. Of the
+        constructor's checks only finiteness is left, as a check of every
+        cell."""
         if not np.isfinite(values).all():
             raise ValueError("observed entries must be finite")
         return _built(cls, values=values, observed=observed)
@@ -137,7 +139,23 @@ def fill_unobserved(x: MaskedMatrix, source) -> np.ndarray:
     ``x`` itself is never mutated. A source that is not finite raises InfeasibleError.
     """
     source = _check_same_shape(x, source, "source")
-    return np.where(x.observed, x.values, source)
+    return _fill(x, source, ~x.observed)
+
+
+def _keep(values: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The bytes of ``np.where(mask, values, 0.0)``, into ``out`` if given:
+    each cell's bits times its mask bit, with no branch on the mask."""
+    out = None if out is None else out.view(np.uint64)
+    return np.multiply(values.view(np.uint64), mask, out=out).view(float)
+
+
+def _fill(x: MaskedMatrix, source: np.ndarray, unobserved: np.ndarray, out=None) -> np.ndarray:
+    """The bytes of ``np.where(x.observed, x.values, source)``, into ``out``
+    if given: the source's bits off the mask OR the values' bits, all zero there."""
+    filled = _keep(source, unobserved, out)
+    bits = filled.view(np.uint64)
+    bits |= x.values.view(np.uint64)
+    return filled
 
 
 def observed_means(x: MaskedMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -202,6 +220,6 @@ def standardize(x: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
     # In C order, as the mask is: the layout of every matrix the package builds.
     scaled = np.subtract(x.values, stats.means, order="C")
     np.divide(scaled, scale, out=scaled)
-    np.copyto(scaled, 0.0, where=~x.observed)
+    _keep(scaled, x.observed, out=scaled)
     # The mask is read-only, so the result may share it.
     return MaskedMatrix._adopt(scaled, x.observed), stats

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InfeasibleError, QuantileFallbackWarning
 from .kmeans import (Assignment, _as_data, _generator, check_count, check_finite,
                      check_nonnegative, check_rate, check_seed, check_type)
-from .masked import MaskedMatrix
+from .masked import MaskedMatrix, _keep
 
 __all__ = [
     "Mechanism",
@@ -209,7 +209,7 @@ def _keep_rows_and_columns_observed(missing: np.ndarray, rng: np.random.Generato
 def ampute(values, spec: MechanismSpec) -> MaskedMatrix:
     """Hide entries of a complete matrix according to ``spec``.
 
-    The input array is never modified. The returned matrix stores 0.0 at the
+    The input array is never modified. The returned matrix stores +0.0 at the
     hidden cells (the mask is authoritative); oracles that need the hidden
     originals should keep the input array alongside the returned mask. A
     matrix not 2-D is a ShapeMismatchError, one empty or not finite infeasible.
@@ -233,4 +233,4 @@ def ampute(values, spec: MechanismSpec) -> MaskedMatrix:
     missing = _keep_rows_and_columns_observed(missing, rng)
     observed = np.logical_not(missing, out=missing)
     # One copy of the input, zeroed off the mask; it and the mask are adopted as built.
-    return MaskedMatrix._adopt(np.where(observed, values, 0.0), observed)
+    return MaskedMatrix._adopt(_keep(values, observed), observed)

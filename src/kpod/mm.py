@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DegenerateRowError
 from .kmeans import (_BLOCK_ROWS, Assignment, Centroids, EngineSettings, KMeansResult, RowBounds,
-                     check_count, check_k, check_positive, check_seed, check_type,
+                     _objective, check_count, check_k, check_positive, check_seed, check_type,
                      kmeans_objective, lloyd)
-from .masked import MaskedMatrix, fill_unobserved, observed_means
+from .masked import MaskedMatrix, _fill, fill_unobserved, observed_means
 
 __all__ = ["KPodConfig", "KPodResult", "init_fill", "majorization_value", "kpod_fit"]
 
@@ -66,7 +66,7 @@ class KPodResult:
 def init_fill(x: MaskedMatrix) -> np.ndarray:
     """Fill unobserved cells with their column's observed mean."""
     means, _ = observed_means(x)
-    return np.where(x.observed, x.values, means)
+    return _fill(x, means, ~x.observed)
 
 
 @np.errstate(over="ignore")
@@ -102,20 +102,16 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     """
     validate_clusterable(x, cfg.k)
 
-    # C order, so that _refill can write each block of rows through a flat view.
-    filled = np.ascontiguousarray(init_fill(x))
+    # Rounds differ only in the unobserved cells: each refills those in place.
+    unobserved = ~x.observed
+    filled = init_fill(x)
     result = lloyd(
         filled, cfg.k, seed=cfg.seed,
         max_iter=cfg.inner.max_iter, tol=cfg.inner.tol, n_init=cfg.inner.n_init,
     )
-    # Rounds differ only in the unobserved cells: refill those, in place, from
-    # each block's flat indices of them.
-    unobserved = [np.flatnonzero(~x.observed[start:start + _BLOCK_ROWS])
-                  for start in range(0, x.n_rows, _BLOCK_ROWS)]
-    _refill(filled, unobserved, result)
     # Off the mask a fill equals the model, so the k-means objective of the
     # filled matrix is the observed-entry objective, bit for bit.
-    trace = [kmeans_objective(filled, result.assignment, result.centroids)]
+    trace = [_refill(filled, x, unobserved, result)]
     # Within one block a sweep is one GEMM over every row either way, and the
     # bookkeeping of bounds costs more than the rows they skip would.
     bounds = RowBounds(x.n_rows) if x.n_rows > _BLOCK_ROWS else None
@@ -129,10 +125,9 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
             filled, cfg.k, init=result.centroids,
             max_iter=cfg.inner.max_iter, tol=cfg.inner.tol, bounds=bounds,
         )
-        _refill(filled, unobserved, result)
+        trace.append(_refill(filled, x, unobserved, result))
         if bounds is not None:
             bounds.refilled(result, filled_from)
-        trace.append(kmeans_objective(filled, result.assignment, result.centroids))
         prev, cur = trace[-2:]
         # Labels alone going quiet is not enough to stop: centers keep
         # contracting toward the observed entries for a while after the
@@ -150,15 +145,12 @@ def kpod_fit(x: MaskedMatrix, cfg: KPodConfig) -> KPodResult:
     )
 
 
-def _refill(filled: np.ndarray, unobserved: list[np.ndarray], result: KMeansResult) -> None:
-    """Write each row's assigned center into its unobserved cells of the
-    C-ordered ``filled``, in place: the bytes of :func:`fill_unobserved`.
-
-    Block ``b`` is the ``_BLOCK_ROWS`` rows from ``b * _BLOCK_ROWS``, and
-    ``unobserved[b]`` the flat indices of its unobserved cells within it.
-    Each block gathers the centers of its own rows only, so the refill holds
-    no n x p model beyond one block's."""
-    centers, labels = result.centroids.centers, result.assignment.labels
-    for start, cells in zip(range(0, len(filled), _BLOCK_ROWS), unobserved):
-        model = centers.take(labels[start:start + _BLOCK_ROWS], axis=0)
-        filled[start:start + _BLOCK_ROWS].reshape(-1)[cells] = model.take(cells)
+def _refill(filled: np.ndarray, x: MaskedMatrix, unobserved: np.ndarray,
+            result: KMeansResult) -> float:
+    """Write each row's assigned center into its unobserved cells of
+    ``filled``, in place, with the bytes of :func:`fill_unobserved`, and
+    return the k-means objective of the refilled matrix under ``result``:
+    both from one n x p gather of the centers by label."""
+    model = result.centroids.centers.take(result.assignment.labels, axis=0)
+    _fill(x, model, unobserved, out=filled)
+    return _objective(filled, model)

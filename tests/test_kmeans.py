@@ -240,12 +240,17 @@ class TestSeeding:
         b = kmeanspp_init(data, 4, seed=123).centers
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("k", [7, 70])
-    def test_blocks_sample_from_whole_matrix_distances(self, k):
+    @pytest.mark.parametrize("form", ["as drawn", "scaled by 1e-150", "scaled by 1e150",
+                                      "one row at 1e154", "in Fortran order"])
+    @pytest.mark.parametrize("k", [1, 2, 7, 70])
+    def test_blocks_sample_from_whole_matrix_distances(self, k, form):
         # Over two blocks of rows, all but 22 of them copies of 40 distinct
         # ones: at k = 70 the 62 distinct rows run out, so the branch for
         # duplicate centers runs too. Every probability vector handed to
-        # choice must be that of whole-matrix distances, bit for bit.
+        # choice must be that of whole-matrix distances, bit for bit, also
+        # where the seeding's bounds skip rows: near underflow, near
+        # overflow, past it (the far row's bound to itself is inf) and on
+        # rows that are not contiguous.
         class Recorded(np.random.Generator):
             def choice(self, n, p=None):
                 self.probabilities.append(p.tobytes())
@@ -255,6 +260,12 @@ class TestSeeding:
         pool = rng.normal(0, 1, (40, 6))
         data = pool[rng.integers(0, 40, 2 * _BLOCK_ROWS + 37)]
         data[::97] += rng.normal(0, 1e-9, (len(data[::97]), 6))
+        if form.startswith("scaled"):
+            data *= float(form.split()[-1])
+        elif form == "one row at 1e154":
+            data[5, 0] = 1e154
+        elif form == "in Fortran order":
+            data = np.asfortranarray(data)
         for seed in range(3):
             want_rng, want_p = np.random.default_rng(seed), []
             chosen = [int(want_rng.integers(len(data)))]
@@ -644,6 +655,11 @@ class TestLloyd:
 
         once = solve()
         assert taken == [300] and once[3] == 5
+        # A seeded call takes them once for all its seedings and solves, the
+        # bounded seedings past one block included.
+        taken.clear()
+        lloyd(rng.normal(0, 1, (2 * _BLOCK_ROWS + 1, 4)), 6, seed=0, max_iter=5, n_init=3)
+        assert taken == [2 * _BLOCK_ROWS + 1]
         # Without the solve's norms, each sweep's assign_step takes its own,
         # after the solve's, which go unused.
         assign = kmeans.assign_step

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kpod.cli as cli_module
 from kpod import (
     DegenerateColumnError,
     InfeasibleError,
@@ -23,6 +24,7 @@ from kpod import (
     standardize,
     write_masked_csv,
 )
+from kpod.masked import observed_means
 
 
 def random_masked(rng, n, p, rate):
@@ -399,6 +401,19 @@ class TestSameBytesAsFormulas:
         assert got == outcome(lambda: (masked_by_formula(x.values, x.observed),
                                        x.observed.copy()))
 
+    @settings(deadline=None, max_examples=300)
+    @given(matrix_and_mask(finite_float), st.sampled_from([np.ascontiguousarray,
+                                                          np.asfortranarray]))
+    def test_fill_unobserved_and_init_fill(self, case, order):
+        values, observed = case
+        observed[0, :] = True  # no empty column
+        x = MaskedMatrix(values=values, observed=observed)
+        source = order(values[::-1, ::-1] * -0.5)
+        got = outcome(lambda: (fill_unobserved(x, source),))
+        assert got == outcome(lambda: (np.where(x.observed, x.values, source),))
+        got = outcome(lambda: (init_fill(x),))
+        assert got == outcome(lambda: (np.where(x.observed, x.values, observed_means(x)[0]),))
+
     def test_nonfinite_cells_behind_the_mask_are_accepted(self):
         for bad in (np.nan, np.inf, -np.inf):
             x = MaskedMatrix(values=[[bad, -0.0]], observed=[[False, True]])
@@ -433,6 +448,31 @@ class TestPackageBuiltMatrices:
         assert [(m.values.tobytes(), m.observed.tobytes()) for m in built] == before
         # standardize adopts its input's read-only mask rather than copying it.
         assert built[2].observed is x.observed
+
+    def test_hold_all_zero_bits_in_unobserved_cells(self, tmp_path, monkeypatch):
+        # The fills OR the bits of their source into these cells, so each
+        # must be +0.0 exactly: not -0.0, and not what the caller put there.
+        rng = np.random.default_rng(3)
+        values = rng.normal(0, 1, (40, 5))
+        observed = rng.random((40, 5)) > 0.4
+        observed[0] = True
+        behind = values.copy()
+        behind[~observed] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=(~observed).sum())
+        x = MaskedMatrix(values=behind, observed=observed)
+        path = tmp_path / "data.csv"
+        write_masked_csv(x, path)
+        built = [x, standardize(x)[0], read_masked_csv(path)[0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # NMAR on a constant column
+            built += [ampute(values, MechanismSpec(kind=kind, target_rate=0.4, seed=1,
+                                                   mar_columns=(1, 3)))
+                      for kind in Mechanism]
+        monkeypatch.setattr(cli_module, "write_masked_csv", lambda m, path: built.append(m))
+        assert cli_module.cli(["simulate", "--n", "30", "--p", "4", "--k", "2", "--seed", "1",
+                               "--output", str(tmp_path / "simulated.csv")]) == 0
+        assert len(built) == 7
+        for m in built:
+            assert not m.values.view(np.uint64)[~m.observed].any()
 
     def test_standardize_allocates_one_copy_and_a_mask(self):
         rng = np.random.default_rng(5)

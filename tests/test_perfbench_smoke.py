@@ -31,5 +31,6 @@ def test_traced_run_passes_its_checks(workload):
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    for name in ("kmeans.sweeps", "mm.rounds", "kmeans.update_s", "kmeans.objective_s"):
+    for name in ("kmeans.sweeps", "mm.rounds", "kmeans.update_s", "kmeans.objective_s",
+                 "kmeans.seed_s", "missingness.ampute_s", "masked.standardize_s"):
         assert result["metrics"][name]["value"] > 0, name
