@@ -39,6 +39,6 @@ def delete_cluster(x: MaskedMatrix, k: int, seed=None,
     kept = np.flatnonzero(x.observed.all(axis=0))
     if kept.size == 0:
         raise DeletionInfeasibleError("every column contains missing entries")
-    result = lloyd(x.values[:, kept], k, seed=seed,
+    result = lloyd(x.values.take(kept, axis=1), k, seed=seed,
                    max_iter=engine.max_iter, tol=engine.tol, n_init=engine.n_init)
     return result, [int(j) for j in kept]

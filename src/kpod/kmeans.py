@@ -58,13 +58,13 @@ class Assignment:
 
 @dataclass(frozen=True, eq=False)
 class Centroids:
-    """A (k, p) matrix whose rows are cluster centers."""
+    """A (k, p) matrix whose rows are cluster centers, in C order whatever the caller's layout."""
 
     centers: np.ndarray
 
     def __post_init__(self):
         # A copy, so freezing it below leaves the caller's array writable.
-        centers = np.array(self.centers, dtype=float)
+        centers = np.array(self.centers, dtype=float, order="C")
         if centers.ndim != 2:
             raise ShapeMismatchError(f"centers must be 2-D, got shape {centers.shape}")
         if centers.shape[0] < 1:
@@ -176,9 +176,11 @@ def check_finite(name: str, values: np.ndarray) -> None:
 
 
 def _as_data(data, a: Assignment | None = None, b: Centroids | None = None) -> np.ndarray:
-    """``data`` as a 2-D float array. ShapeMismatchError unless it is 2-D,
-    has one row per label of ``a`` and, for centers ``b``, one column per feature."""
-    data = np.asarray(data, dtype=float)
+    """``data`` as a 2-D float array in C order, copied if it is in another
+    layout, so every sum runs in one order and any layout has the C copy's bits.
+    ShapeMismatchError unless it is 2-D, has one row per label of ``a`` and,
+    for centers ``b``, one column per feature."""
+    data = np.asarray(data, dtype=float, order="C")
     if data.ndim != 2:
         raise ShapeMismatchError(f"data must be 2-D, got shape {data.shape}")
     if a is not None and len(a) != data.shape[0]:
@@ -384,9 +386,10 @@ def kmeans_objective(data, a: Assignment, b: Centroids) -> float:
     return _objective(data, model)
 
 
+@np.errstate(over="ignore")
 def _objective(data: np.ndarray, model: np.ndarray) -> float:
-    """:func:`kmeans_objective` against ``model``, the C-ordered gather of
-    each row's center, which it overwrites with the squared differences."""
+    """:func:`kmeans_objective` against ``model``, the C-ordered gather of each
+    row's center, which it overwrites with the squared differences; inf on overflow."""
     np.subtract(data, model, out=model)
     np.multiply(model, model, out=model)
     total = float(model.sum())
@@ -403,7 +406,7 @@ def kmeanspp_init(data, k: int, seed=None, *, _x_sq: np.ndarray | None = None) -
     a data row sampled with probability proportional to its squared distance
     to the nearest center chosen so far. Deterministic given ``seed``.
 
-    On C-ordered data past one block, a pass after the first skips each row
+    On data past one block, a pass after the first skips each row
     whose lower bound on its distance to the newest center c, the GEMV value
     |x|^2 - 2x.c + |c|^2 less 8 (p + 4) eps (|x|^2 + |c|^2 + tiny), is at
     least its nearest distance so far. That margin, :func:`_gemm_argmin`'s,
@@ -421,9 +424,8 @@ def kmeanspp_init(data, k: int, seed=None, *, _x_sq: np.ndarray | None = None) -
     n = data.shape[0]
     check_k(k, n)
     rng = _generator(seed)
-    # Within one block a pass is one block of exact distances either way. A
-    # gather of rows is C-ordered, and other layouts round differently.
-    bounded = n > _BLOCK_ROWS and data.flags.c_contiguous
+    # Within one block a pass is one block of exact distances either way.
+    bounded = n > _BLOCK_ROWS
     x_sq = (_row_sq(data) if _x_sq is None else _x_sq) if bounded else None
     slack = 8 * (data.shape[1] + 4) * _EPS
 

@@ -31,10 +31,11 @@ class MaskedMatrix:
 
     Instances are immutable (the backing arrays are marked read-only) and all
     operations on them are pure functions, so they are safe to share across
-    workers. The constructor copies the arrays a caller passes in, so writing
-    to them later changes nothing here; arrays the package has just built
-    itself are adopted as they are, through :meth:`_adopt`. Every unobserved
-    cell holds +0.0 (all-zero bits), a contract the fills rely on.
+    workers. The constructor copies the arrays a caller passes in, in C order
+    whatever their layout, so results have the bits of the C copy and writing
+    to the arrays later changes nothing here; arrays the package has just
+    built itself are adopted as they are, through :meth:`_adopt`. Every
+    unobserved cell holds +0.0 (all-zero bits), a contract the fills rely on.
     """
 
     values: np.ndarray
@@ -42,7 +43,7 @@ class MaskedMatrix:
 
     def __post_init__(self):
         values = _as_data(self.values)
-        observed = np.asarray(self.observed, dtype=bool)
+        observed = np.array(self.observed, dtype=bool, order="C")
         if observed.shape != values.shape:
             raise ShapeMismatchError(
                 f"mask shape {observed.shape} does not match values shape {values.shape}"
@@ -50,7 +51,7 @@ class MaskedMatrix:
         # The mask is authoritative; unobserved cells hold a fixed +0.0 sentinel,
         # so a check of every cell afterwards checks the observed ones. The
         # copies are this matrix's own, so it adopts them.
-        adopted = self._adopt(_keep(values, observed), observed.copy())
+        adopted = self._adopt(_keep(values, observed), observed)
         object.__setattr__(self, "values", adopted.values)
         object.__setattr__(self, "observed", adopted.observed)
 
@@ -110,7 +111,7 @@ class ColumnStats:
 
 
 def _check_same_shape(x: MaskedMatrix, other, name: str) -> np.ndarray:
-    other = np.asarray(other, dtype=float)
+    other = np.asarray(other, dtype=float, order="C")
     if other.shape != x.shape:
         raise ShapeMismatchError(
             f"{name} shape {other.shape} does not match matrix shape {x.shape}"
@@ -188,11 +189,8 @@ def column_stats(x: MaskedMatrix) -> ColumnStats:
     else whose standard deviation, overflows. It raises no numpy warning.
     """
     means, counts = observed_means(x)
-    # The mask is stored in C order, so (values - means) * observed comes out
-    # in C order; working in it keeps the column sums' order and bits even
-    # when the values are in Fortran order.
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = np.subtract(x.values, means, order="C")
+        centered = x.values - means
         np.multiply(centered, x.observed, out=centered)
         np.multiply(centered, centered, out=centered)
         std_devs = np.sqrt(np.sum(centered, axis=0) / np.maximum(counts - 1, 1))
@@ -217,8 +215,7 @@ def standardize(x: MaskedMatrix) -> tuple[MaskedMatrix, ColumnStats]:
     """
     stats = column_stats(x)
     scale = np.where(stats.std_devs > 0, stats.std_devs, 1.0)
-    # In C order, as the mask is: the layout of every matrix the package builds.
-    scaled = np.subtract(x.values, stats.means, order="C")
+    scaled = x.values - stats.means
     np.divide(scaled, scale, out=scaled)
     _keep(scaled, x.observed, out=scaled)
     # The mask is read-only, so the result may share it.

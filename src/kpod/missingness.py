@@ -176,8 +176,7 @@ def _mask_nmar(values: np.ndarray, total: int, rng: np.random.Generator) -> np.n
     hit = per_column > 0
     ordered = np.sort(values, axis=0)
     cutoffs = ordered[np.maximum(per_column - 1, 0), np.arange(values.shape[1])]
-    # In C order whatever the layout of values, as every mask ampute returns.
-    missing = np.less_equal(values, cutoffs, order="C")
+    missing = values <= cutoffs
     missing &= hit
     # Only a column with ties at its cutoff has more candidates than cells to
     # hide; those columns draw, in column order.

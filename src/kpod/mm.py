@@ -69,7 +69,6 @@ def init_fill(x: MaskedMatrix) -> np.ndarray:
     return _fill(x, means, ~x.observed)
 
 
-@np.errstate(over="ignore")
 def majorization_value(x: MaskedMatrix, a: Assignment, b: Centroids,
                        a_prev: Assignment, b_prev: Centroids) -> float:
     """Surrogate loss: the k-means objective, under ``(a, b)``, of the matrix

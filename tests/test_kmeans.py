@@ -176,11 +176,12 @@ class TestObjective:
         assert kmeans_objective(centers[labels], Assignment(labels=labels),
                                 Centroids(centers=centers)) == 0.0
 
-    def test_hand_case(self):
-        data = np.array([[0.0], [2.0]])
-        result = kmeans_objective(data, Assignment(labels=[0, 0]),
+    # The second case's squares pass the largest float: inf, with no numpy warning.
+    @pytest.mark.parametrize("data, want", [([[0.0], [2.0]], 2.0), ([[1e200], [-1e200]], np.inf)])
+    def test_hand_case(self, data, want):
+        result = kmeans_objective(np.array(data), Assignment(labels=[0, 0]),
                                   Centroids(centers=[[1.0]]))
-        assert result == 2.0
+        assert result == want
 
     def test_random_matches_double_loop(self):
         rng = np.random.default_rng(11)
@@ -241,7 +242,7 @@ class TestSeeding:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("form", ["as drawn", "scaled by 1e-150", "scaled by 1e150",
-                                      "one row at 1e154", "in Fortran order"])
+                                      "one row at 1e154", "in Fortran order", "strided"])
     @pytest.mark.parametrize("k", [1, 2, 7, 70])
     def test_blocks_sample_from_whole_matrix_distances(self, k, form):
         # Over two blocks of rows, all but 22 of them copies of 40 distinct
@@ -249,8 +250,8 @@ class TestSeeding:
         # duplicate centers runs too. Every probability vector handed to
         # choice must be that of whole-matrix distances, bit for bit, also
         # where the seeding's bounds skip rows: near underflow, near
-        # overflow, past it (the far row's bound to itself is inf) and on
-        # rows that are not contiguous.
+        # overflow and past it (the far row's bound to itself is inf). Data
+        # in Fortran order, or strided, must draw as its C copy does.
         class Recorded(np.random.Generator):
             def choice(self, n, p=None):
                 self.probabilities.append(p.tobytes())
@@ -266,10 +267,13 @@ class TestSeeding:
             data[5, 0] = 1e154
         elif form == "in Fortran order":
             data = np.asfortranarray(data)
+        elif form == "strided":
+            data = np.repeat(data, 2, axis=1)[:, ::2]
+        c_data = np.ascontiguousarray(data)
         for seed in range(3):
             want_rng, want_p = np.random.default_rng(seed), []
             chosen = [int(want_rng.integers(len(data)))]
-            d2 = _sq_dists(data, data[chosen[-1:]])[:, 0]
+            d2 = _sq_dists(c_data, c_data[chosen[-1:]])[:, 0]
             for _ in range(1, k):
                 total = d2.sum()
                 if total > 0:
@@ -277,7 +281,7 @@ class TestSeeding:
                     chosen.append(int(want_rng.choice(len(data), p=d2 / total)))
                 else:
                     chosen.append(int(want_rng.integers(len(data))))
-                d2 = np.minimum(d2, _sq_dists(data, data[chosen[-1:]])[:, 0])
+                d2 = np.minimum(d2, _sq_dists(c_data, c_data[chosen[-1:]])[:, 0])
             got_rng = Recorded(np.random.PCG64(seed))
             got_rng.probabilities = []
             with warnings.catch_warnings():

@@ -342,26 +342,36 @@ finite_float = st.one_of(st.floats(-1e6, 1e6), st.floats(width=64, allow_nan=Fal
                                                            allow_infinity=False))
 
 
+def strided(a):
+    """A view of ``a`` that steps over every other column of a wider array."""
+    return np.repeat(a, 2, axis=1)[:, ::2]
+
+
+LAYOUTS = [np.ascontiguousarray, np.asfortranarray, strided]
+
+
 @st.composite
 def matrix_and_mask(draw, cells):
-    """A matrix and a mask, each laid out in C or Fortran order."""
+    """A matrix and a mask, each laid out in C order, in Fortran order or as a strided view."""
     n, p = draw(st.integers(1, 12)), draw(st.integers(1, 6))
     values = np.array(draw(st.lists(cells, min_size=n * p, max_size=n * p))).reshape(n, p)
     observed = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p)))
-    order = st.sampled_from([np.ascontiguousarray, np.asfortranarray])
+    order = st.sampled_from(LAYOUTS)
     return draw(order)(values), draw(order)(observed.reshape(n, p))
 
 
 class TestSameBytesAsFormulas:
     """Preparation runs in place and without the boolean gather; every array
-    and every error stays that of the plain formulas above, bit for bit."""
+    and every error stays that of the plain formulas above, bit for bit, in
+    C order whatever the inputs' layout."""
 
     @settings(deadline=None, max_examples=300)
     @given(matrix_and_mask(any_float))
     def test_masked_matrix(self, case):
         values, observed = case
         got = outcome(lambda v, o: (MaskedMatrix(values=v, observed=o).values,), values, observed)
-        assert got == outcome(lambda v, o: (masked_by_formula(v, o),), values, observed)
+        assert got == outcome(lambda v, o: (masked_by_formula(v, o),),
+                              np.ascontiguousarray(values), np.ascontiguousarray(observed))
 
     @settings(deadline=None, max_examples=300)
     @given(matrix_and_mask(finite_float))
@@ -402,8 +412,7 @@ class TestSameBytesAsFormulas:
                                        x.observed.copy()))
 
     @settings(deadline=None, max_examples=300)
-    @given(matrix_and_mask(finite_float), st.sampled_from([np.ascontiguousarray,
-                                                          np.asfortranarray]))
+    @given(matrix_and_mask(finite_float), st.sampled_from(LAYOUTS))
     def test_fill_unobserved_and_init_fill(self, case, order):
         values, observed = case
         observed[0, :] = True  # no empty column
@@ -439,10 +448,12 @@ class TestPackageBuiltMatrices:
         path = tmp_path / "data.csv"
         write_masked_csv(x, path)
         built = [x, ampute(values, MechanismSpec(kind=Mechanism.MCAR, target_rate=0.3, seed=1)),
-                 standardize(x)[0], read_masked_csv(path)[0]]
+                 standardize(x)[0], read_masked_csv(path)[0],
+                 MaskedMatrix(values=np.asfortranarray(values), observed=strided(observed))]
         before = [(m.values.tobytes(), m.observed.tobytes()) for m in built]
         for m in built:
             assert not m.values.flags.writeable and not m.observed.flags.writeable
+            assert m.values.flags.c_contiguous and m.observed.flags.c_contiguous
         values[:] = 7.0
         observed[:] = ~observed
         assert [(m.values.tobytes(), m.observed.tobytes()) for m in built] == before
@@ -473,6 +484,7 @@ class TestPackageBuiltMatrices:
         assert len(built) == 7
         for m in built:
             assert not m.values.view(np.uint64)[~m.observed].any()
+            assert m.values.flags.c_contiguous and m.observed.flags.c_contiguous
 
     def test_standardize_allocates_one_copy_and_a_mask(self):
         rng = np.random.default_rng(5)

@@ -383,9 +383,9 @@ class TestSameBytesAsFormulas:
     @settings(deadline=None, max_examples=300)
     @given(st.integers(1, 30), st.integers(1, 8), st.floats(0.01, 0.99),
            st.sampled_from(list(Mechanism)), st.integers(0, 2**8 - 1),
-           st.sampled_from(["normal", "ties", "constant"]), st.booleans(),
+           st.sampled_from(["normal", "ties", "constant"]), st.sampled_from(["C", "F", "strided"]),
            st.integers(0, 2**32 - 1))
-    def test_ampute(self, n, p, rate, kind, subset, values_kind, fortran, seed):
+    def test_ampute(self, n, p, rate, kind, subset, values_kind, layout, seed):
         rng = np.random.default_rng(seed)
         if values_kind == "normal":
             values = rng.normal(0, 3, (n, p))
@@ -393,8 +393,10 @@ class TestSameBytesAsFormulas:
             values = rng.choice([-1.5, -0.0, 0.0, 2.0], size=(n, p))
             if values_kind == "constant":
                 values[:, ::2] = 7.0
-        if fortran:
+        if layout == "F":
             values = np.asfortranarray(values)
+        elif layout == "strided":
+            values = np.repeat(values, 2, axis=1)[:, ::2]
         cols = tuple(j for j in range(p) if subset >> j & 1) or (0,)
         total = min(int(round(rate * n * p)), n * p - 1)
         assume(kind is not Mechanism.MAR or total <= n * len(cols))
